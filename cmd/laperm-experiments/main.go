@@ -83,17 +83,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}
-	switch *scale {
-	case "tiny":
-		opts.Scale = kernels.ScaleTiny
-	case "small":
-		opts.Scale = kernels.ScaleSmall
-	case "medium":
-		opts.Scale = kernels.ScaleMedium
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := spec.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	opts.Scale = sc
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}

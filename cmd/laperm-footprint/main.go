@@ -15,6 +15,7 @@ import (
 
 	"laperm/internal/kernels"
 	"laperm/internal/metrics"
+	"laperm/internal/spec"
 )
 
 func main() {
@@ -22,16 +23,9 @@ func main() {
 	scale := flag.String("scale", "small", "workload scale (tiny, small, medium)")
 	flag.Parse()
 
-	var sc kernels.Scale
-	switch *scale {
-	case "tiny":
-		sc = kernels.ScaleTiny
-	case "small":
-		sc = kernels.ScaleSmall
-	case "medium":
-		sc = kernels.ScaleMedium
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := spec.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

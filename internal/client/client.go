@@ -278,9 +278,10 @@ func parseRetryAfter(h http.Header) time.Duration {
 }
 
 // do issues one request with backoff-retry on retryable failures and
-// returns the final response body and status. The request body is rebuilt
-// per attempt from payload (nil for GET).
-func (c *Client) do(ctx context.Context, method, path string, payload []byte, header http.Header) (int, http.Header, []byte, error) {
+// returns the body of the final 200 or 202 answer; any other status comes
+// back as a *StatusError. The request body is rebuilt per attempt from
+// payload (nil for GET).
+func (c *Client) do(ctx context.Context, method, path string, payload []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -290,7 +291,7 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, he
 			}
 			c.backoffs.Inc()
 			if err := c.sleep(ctx, c.backoffDelay(attempt-1, retryAfter)); err != nil {
-				return 0, nil, nil, err
+				return nil, err
 			}
 		}
 		var body io.Reader
@@ -299,20 +300,15 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, he
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 		if err != nil {
-			return 0, nil, nil, err
+			return nil, err
 		}
 		if payload != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
-		for k, vs := range header {
-			for _, v := range vs {
-				req.Header.Add(k, v)
-			}
-		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
-				return 0, nil, nil, ctx.Err()
+				return nil, ctx.Err()
 			}
 			lastErr = fmt.Errorf("client: %s %s: %w", method, path, err)
 			continue // network-level failure: retry
@@ -323,13 +319,28 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, he
 			lastErr = fmt.Errorf("client: read response: %w", rerr)
 			continue
 		}
-		if retryableStatus(resp.StatusCode) {
+		switch {
+		case retryableStatus(resp.StatusCode):
 			lastErr = newStatusError(resp.StatusCode, data, resp.Header)
 			continue
+		case resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted:
+			return nil, newStatusError(resp.StatusCode, data, resp.Header)
 		}
-		return resp.StatusCode, resp.Header, data, nil
+		return data, nil
 	}
-	return 0, nil, nil, fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
+}
+
+// call is do plus decoding the JSON answer into out.
+func (c *Client) call(ctx context.Context, method, path string, payload []byte, out any) error {
+	data, err := c.do(ctx, method, path, payload)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
+	}
+	return nil
 }
 
 // Submit POSTs a spec and returns the server's run view. Safe to call
@@ -339,55 +350,26 @@ func (c *Client) Submit(ctx context.Context, sp spec.RunSpec) (RunView, error) {
 	if err != nil {
 		return RunView{}, err
 	}
-	return c.submitRaw(ctx, payload)
+	return c.SubmitRaw(ctx, payload)
 }
 
 // SubmitRaw is Submit for callers holding the spec as JSON already.
 func (c *Client) SubmitRaw(ctx context.Context, specJSON []byte) (RunView, error) {
-	return c.submitRaw(ctx, specJSON)
-}
-
-func (c *Client) submitRaw(ctx context.Context, payload []byte) (RunView, error) {
-	code, hdr, data, err := c.do(ctx, http.MethodPost, "/v1/runs", payload, nil)
-	if err != nil {
-		return RunView{}, err
-	}
-	if code != http.StatusOK && code != http.StatusAccepted {
-		return RunView{}, newStatusError(code, data, hdr)
-	}
 	var v RunView
-	if err := json.Unmarshal(data, &v); err != nil {
-		return RunView{}, fmt.Errorf("client: decode submit response: %w", err)
-	}
-	return v, nil
+	err := c.call(ctx, http.MethodPost, "/v1/runs", specJSON, &v)
+	return v, err
 }
 
 // Status fetches a run's current view.
 func (c *Client) Status(ctx context.Context, id string) (RunView, error) {
-	code, hdr, data, err := c.do(ctx, http.MethodGet, "/v1/runs/"+id, nil, nil)
-	if err != nil {
-		return RunView{}, err
-	}
-	if code != http.StatusOK {
-		return RunView{}, newStatusError(code, data, hdr)
-	}
 	var v RunView
-	if err := json.Unmarshal(data, &v); err != nil {
-		return RunView{}, fmt.Errorf("client: decode status: %w", err)
-	}
-	return v, nil
+	err := c.call(ctx, http.MethodGet, "/v1/runs/"+id, nil, &v)
+	return v, err
 }
 
 // Artifact fetches one artifact of a completed run.
 func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) {
-	code, hdr, data, err := c.do(ctx, http.MethodGet, "/v1/artifacts/"+id+"/"+name, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, newStatusError(code, data, hdr)
-	}
-	return data, nil
+	return c.do(ctx, http.MethodGet, "/v1/artifacts/"+id+"/"+name, nil)
 }
 
 // Run is the resilient end-to-end call: submit, wait for a terminal state,
@@ -402,7 +384,7 @@ func (c *Client) Run(ctx context.Context, sp spec.RunSpec) (RunView, error) {
 	}
 	resubmits := 0
 	for {
-		v, err := c.submitRaw(ctx, payload)
+		v, err := c.SubmitRaw(ctx, payload)
 		if err != nil {
 			return RunView{}, err
 		}
@@ -445,10 +427,15 @@ type SSEEvent struct {
 // event has been delivered, or the first handler/transport error that
 // exhausts the reconnect budget.
 func (c *Client) WatchEvents(ctx context.Context, id string, handler func(SSEEvent) error) error {
+	return c.watch(ctx, "/v1/runs/"+id+"/events", handler)
+}
+
+// watch is the reconnect loop behind WatchEvents and WatchSweep.
+func (c *Client) watch(ctx context.Context, path string, handler func(SSEEvent) error) error {
 	var lastID uint64
 	tears := 0
 	for {
-		delivered, terminal, err := c.streamOnce(ctx, "/v1/runs/"+id+"/events", &lastID, handler)
+		delivered, terminal, err := c.streamOnce(ctx, path, &lastID, handler)
 		if err != nil {
 			return err
 		}
@@ -463,7 +450,7 @@ func (c *Client) WatchEvents(ctx context.Context, id string, handler func(SSEEve
 		}
 		tears++
 		if tears >= c.cfg.MaxAttempts {
-			return fmt.Errorf("client: event stream for %s tore %d times without completing", id, tears)
+			return fmt.Errorf("client: event stream %s tore %d times without completing", path, tears)
 		}
 		if err := c.sleep(ctx, c.backoffDelay(tears-1, 0)); err != nil {
 			return err

@@ -69,92 +69,37 @@ func (c *Client) SubmitSweep(ctx context.Context, sp spec.SweepSpec) (SweepView,
 
 // SubmitSweepRaw is SubmitSweep for callers holding the spec as JSON.
 func (c *Client) SubmitSweepRaw(ctx context.Context, specJSON []byte) (SweepView, error) {
-	code, hdr, data, err := c.do(ctx, http.MethodPost, "/v1/sweeps", specJSON, nil)
-	if err != nil {
-		return SweepView{}, err
-	}
-	if code != http.StatusOK && code != http.StatusAccepted {
-		return SweepView{}, newStatusError(code, data, hdr)
-	}
 	var v SweepView
-	if err := json.Unmarshal(data, &v); err != nil {
-		return SweepView{}, fmt.Errorf("client: decode sweep response: %w", err)
-	}
-	return v, nil
+	err := c.call(ctx, http.MethodPost, "/v1/sweeps", specJSON, &v)
+	return v, err
 }
 
 // SweepStatus fetches a sweep's current view, including its cell table.
 func (c *Client) SweepStatus(ctx context.Context, id string) (SweepView, error) {
-	code, hdr, data, err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, nil)
-	if err != nil {
-		return SweepView{}, err
-	}
-	if code != http.StatusOK {
-		return SweepView{}, newStatusError(code, data, hdr)
-	}
 	var v SweepView
-	if err := json.Unmarshal(data, &v); err != nil {
-		return SweepView{}, fmt.Errorf("client: decode sweep status: %w", err)
-	}
-	return v, nil
+	err := c.call(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, &v)
+	return v, err
 }
 
 // SweepArtifact fetches one sweep-level artifact (sweep.json, cells.csv,
 // result.json).
 func (c *Client) SweepArtifact(ctx context.Context, id, name string) ([]byte, error) {
-	code, hdr, data, err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id+"/artifacts/"+name, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, newStatusError(code, data, hdr)
-	}
-	return data, nil
+	return c.do(ctx, http.MethodGet, "/v1/sweeps/"+id+"/artifacts/"+name, nil)
 }
 
 // CancelSweep asks the server to cancel a sweep; cells shared with other
 // requests keep running for their other owners.
 func (c *Client) CancelSweep(ctx context.Context, id string) (SweepView, error) {
-	code, hdr, data, err := c.do(ctx, http.MethodPost, "/v1/sweeps/"+id+"/cancel", []byte("{}"), nil)
-	if err != nil {
-		return SweepView{}, err
-	}
-	if code != http.StatusOK {
-		return SweepView{}, newStatusError(code, data, hdr)
-	}
 	var v SweepView
-	if err := json.Unmarshal(data, &v); err != nil {
-		return SweepView{}, fmt.Errorf("client: decode cancel response: %w", err)
-	}
-	return v, nil
+	err := c.call(ctx, http.MethodPost, "/v1/sweeps/"+id+"/cancel", []byte("{}"), &v)
+	return v, err
 }
 
 // WatchSweep streams a sweep's events — per-cell completions and the
 // terminal state — reconnecting on stream tears with Last-Event-ID, the
 // same exactly-once contract as WatchEvents.
 func (c *Client) WatchSweep(ctx context.Context, id string, handler func(SSEEvent) error) error {
-	var lastID uint64
-	tears := 0
-	for {
-		delivered, terminal, err := c.streamOnce(ctx, "/v1/sweeps/"+id+"/events", &lastID, handler)
-		if err != nil {
-			return err
-		}
-		if terminal {
-			return nil
-		}
-		c.streamTears.Inc()
-		if delivered > 0 {
-			tears = 0
-		}
-		tears++
-		if tears >= c.cfg.MaxAttempts {
-			return fmt.Errorf("client: sweep stream for %s tore %d times without completing", id, tears)
-		}
-		if err := c.sleep(ctx, c.backoffDelay(tears-1, 0)); err != nil {
-			return err
-		}
-	}
+	return c.watch(ctx, "/v1/sweeps/"+id+"/events", handler)
 }
 
 // RunSweep is the end-to-end sweep call: submit, poll until terminal, and

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// Queue-rejection sentinels, mapped by handleSubmit/handleSweepSubmit onto
-// 429 (full: back off and retry the idempotent submission) and 503 (closed:
-// this process is draining, go elsewhere).
+// Queue-rejection sentinels, mapped by handleSubmit onto 429 (full: back
+// off and retry the idempotent submission) and 503 (closed: this process
+// is draining, go elsewhere).
 var (
 	errQueueFull   = errors.New("serve: launch queue full")
 	errQueueClosed = errors.New("serve: queue closed")

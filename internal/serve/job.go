@@ -81,10 +81,49 @@ func retryableKind(kind string) bool {
 	return kind == KindTransient || kind == KindPanic
 }
 
-// Job is one submitted run, keyed by its spec hash. All mutable fields are
-// guarded by the embedded hub's mutex (promoted as j.mu); subscribers
-// receive Events until the job reaches a terminal state, at which point
-// their channels are closed.
+// record is what jobs and sweeps share: the event hub, whose mutex
+// (promoted as j.mu / sw.mu) guards every mutable field of the embedding
+// type, plus the lifecycle state and the bookkeeping both wire views report.
+type record struct {
+	hub
+	// seq orders records by first registration — the /v1/runs listing
+	// cursor.
+	seq uint64
+	// flight is the wall-clock span recorder from submit to terminal
+	// state. Nil for cached records (nothing executed) — every telemetry
+	// field here is nil-safe.
+	flight *telemetry.Flight
+
+	state     State
+	errMsg    string
+	errKind   string
+	cached    bool  // answered from the cache without executing
+	coalesced int64 // submissions that attached to this record
+}
+
+func newRecord(state State, cached bool) record {
+	return record{hub: newHub(), state: state, cached: cached}
+}
+
+// State returns the current state.
+func (r *record) State() State {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.state
+}
+
+func (r *record) terminalLocked() bool { return r.state == StateDone || r.state == StateFailed }
+
+// noteCoalesced counts a submission that attached to this record.
+func (r *record) noteCoalesced() {
+	r.mu.Lock()
+	r.coalesced++
+	r.mu.Unlock()
+}
+
+// Job is one submitted run, keyed by its spec hash. Subscribers receive
+// Events until the job reaches a terminal state, at which point their
+// channels are closed.
 type Job struct {
 	// ID is the RunSpec content hash — run ID, coalescing key, and cache
 	// key are all the same string.
@@ -95,89 +134,48 @@ type Job struct {
 	// flow is the fair-share flow the job was queued on: its tenant plus
 	// the sweep that first scheduled it ("" for direct submissions).
 	flow flowKey
-	// seq orders jobs by first registration — the /v1/runs listing cursor.
-	seq uint64
-
-	// flight is the job's flight recorder: wall-clock spans from submit to
-	// terminal state, served at /v1/runs/{id}/trace. Nil for cached jobs
-	// (nothing executed) — every telemetry field here is nil-safe.
-	flight *telemetry.Flight
 	// queueEnd closes the flight's "queue" span when dispatch claims the
 	// job; enqueuedAt feeds the queue-wait histogram.
 	queueEnd   func()
 	enqueuedAt time.Time
 
-	hub
-	state   State
-	errMsg  string
-	errKind string
-	cached  bool // result served from the cache without executing
-	// singleton records that at least one direct /v1/runs submission wants
-	// this job; owners records the sweeps sharing it. A job with singleton
-	// set or more than one owner is "shared": sweep cancellation must not
-	// release it.
-	singleton bool
-	owners    map[string]struct{}
+	record
+	// owners records who wants this job: the IDs of the sweeps sharing it,
+	// plus "" once any direct /v1/runs submission has claimed it. A job
+	// with an owner besides a given sweep is shared with it: that sweep's
+	// cancellation must not release it.
+	owners map[string]struct{}
 	// onTerminal hooks run exactly once, after the terminal transition,
 	// outside the job lock — sweeps use them for cell accounting.
 	onTerminal []func(*Job)
-	coalesced  int64
 	retries    int64
 }
 
 func newJob(id string, sp spec.RunSpec) *Job {
-	return &Job{ID: id, Spec: sp, state: StateQueued, hub: newHub()}
+	return &Job{ID: id, Spec: sp, record: newRecord(StateQueued, false)}
 }
 
 // newCachedJob materializes a job for a disk-cache hit: born terminal.
 func newCachedJob(id string, sp spec.RunSpec) *Job {
-	return &Job{ID: id, Spec: sp, state: StateDone, cached: true, hub: newHub()}
+	return &Job{ID: id, Spec: sp, record: newRecord(StateDone, true)}
 }
 
-// snapshot returns the job's current externally visible state.
-func (j *Job) snapshot() (State, string, string, bool, int64) {
+// snapshot returns the job's current state and error.
+func (j *Job) snapshot() (state State, errMsg, errKind string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state, j.errMsg, j.errKind, j.cached, j.coalesced
+	return j.state, j.errMsg, j.errKind
 }
 
-// State returns the current state.
-func (j *Job) State() State {
+// addOwner records a claim on the job: a sweep's ID, or "" for a direct
+// submission.
+func (j *Job) addOwner(owner string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
-}
-
-func (j *Job) terminalLocked() bool { return j.state == StateDone || j.state == StateFailed }
-
-// noteCoalesced counts a submission that attached to this in-flight job.
-func (j *Job) noteCoalesced() {
-	j.mu.Lock()
-	j.coalesced++
-	j.mu.Unlock()
-}
-
-// noteSingleton records a direct submission's claim on the job: it is no
-// longer exclusively owned by sweeps, so no sweep cancellation may release
-// it.
-func (j *Job) noteSingleton() {
-	j.mu.Lock()
-	j.singleton = true
-	j.mu.Unlock()
-}
-
-// addOwner records a sweep's claim on the job and reports whether the job
-// was already claimed by a different sweep or a direct submission —
-// i.e. whether this attachment is a cross-request dedupe.
-func (j *Job) addOwner(sweepID string) (shared bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	shared = j.singleton || len(j.owners) > 0
 	if j.owners == nil {
 		j.owners = make(map[string]struct{})
 	}
-	j.owners[sweepID] = struct{}{}
-	return shared
+	j.owners[owner] = struct{}{}
 }
 
 // sharedBeyond reports whether anyone other than the given sweep holds a
@@ -185,9 +183,6 @@ func (j *Job) addOwner(sweepID string) (shared bool) {
 func (j *Job) sharedBeyond(sweepID string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.singleton {
-		return true
-	}
 	for owner := range j.owners {
 		if owner != sweepID {
 			return true

@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -264,15 +265,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/runs", s.instrument("/v1/runs", s.handleSubmit))
 	mux.HandleFunc("GET /v1/runs", s.instrument("/v1/runs:list", s.handleRunsList))
 	mux.HandleFunc("GET /v1/runs/{id}", s.instrument("/v1/runs/{id}", s.handleStatus))
-	mux.HandleFunc("GET /v1/runs/{id}/events", s.instrument("/v1/runs/{id}/events", s.handleEvents))
+	mux.HandleFunc("GET /v1/runs/{id}/events", s.instrument("/v1/runs/{id}/events", s.handleEvents(runKind)))
 	mux.HandleFunc("GET /v1/runs/{id}/trace", s.instrument("/v1/runs/{id}/trace", s.handleTrace))
-	mux.HandleFunc("GET /v1/artifacts/{id}/{name}", s.instrument("/v1/artifacts/{id}/{name}", s.handleArtifact))
+	mux.HandleFunc("GET /v1/artifacts/{id}/{name}", s.instrument("/v1/artifacts/{id}/{name}", s.handleArtifact(runKind)))
 	mux.HandleFunc("POST /v1/sweeps", s.instrument("/v1/sweeps", s.handleSweepSubmit))
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.instrument("/v1/sweeps/{id}", s.handleSweepStatus))
-	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.instrument("/v1/sweeps/{id}/events", s.handleSweepEvents))
+	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.instrument("/v1/sweeps/{id}/events", s.handleEvents(sweepKind)))
 	mux.HandleFunc("POST /v1/sweeps/{id}/cancel", s.instrument("/v1/sweeps/{id}/cancel", s.handleSweepCancel))
 	mux.HandleFunc("GET /v1/sweeps/{id}/artifacts/{name}",
-		s.instrument("/v1/sweeps/{id}/artifacts/{name}", s.handleSweepArtifact))
+		s.instrument("/v1/sweeps/{id}/artifacts/{name}", s.handleArtifact(sweepKind)))
 	mux.HandleFunc("GET /v1/workloads", s.instrument("/v1/workloads", s.handleWorkloads))
 	mux.HandleFunc("GET /v1/schedulers", s.instrument("/v1/schedulers", s.handleSchedulers))
 	mux.HandleFunc("GET /v1/models", s.instrument("/v1/models", s.handleModels))
@@ -314,12 +315,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // classifies the failure so clients branch on a stable string, never on
 // message text.
 const (
-	ErrKindBadRequest  = "bad-request"   // 400: the request itself is wrong; retrying it verbatim cannot help
-	ErrKindNotFound    = "not-found"     // 404: no such run, sweep, or artifact
-	ErrKindRateLimited = "rate-limited"  // 429: shed or throttled; retry the idempotent request after retry_after
-	ErrKindDraining    = "draining"      // 503: this process is shutting down; go to another backend
-	ErrKindTransient   = "transient"     // 503: momentary server-side failure; retry after retry_after
-	ErrKindInternal    = "internal"      // 500: a bug, not a caller problem
+	ErrKindBadRequest  = "bad-request"  // 400: the request itself is wrong; retrying it verbatim cannot help
+	ErrKindNotFound    = "not-found"    // 404: no such run, sweep, or artifact
+	ErrKindRateLimited = "rate-limited" // 429: shed or throttled; retry the idempotent request after retry_after
+	ErrKindDraining    = "draining"     // 503: this process is shutting down; go to another backend
+	ErrKindTransient   = "transient"    // 503: momentary server-side failure; retry after retry_after
+	ErrKindInternal    = "internal"     // 500: a bug, not a caller problem
 )
 
 // apiError is the one JSON error envelope every endpoint writes: a stable
@@ -394,10 +395,9 @@ func tenantOf(r *http.Request) string {
 	return spec.DefaultTenant
 }
 
-// handleSubmit accepts a RunSpec, resolves it to a job by content hash —
-// attaching to an in-flight job, answering from the cache, or enqueueing a
-// fresh execution — and returns the job view (202 for newly queued work,
-// 200 otherwise).
+// handleSubmit accepts a RunSpec, resolves it through resolveLocked on the
+// tenant's direct-runs flow, and returns the job view (202 for newly queued
+// work, 200 otherwise).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -429,71 +429,84 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok && j.State() != StateFailed {
-		// In-flight or finished in this process. Attaching to a live job
-		// is a coalesce; matching a done job is a cache hit. Either way
-		// the job now carries a direct claim: a sweep that also owns it
-		// may no longer release it on cancellation.
-		j.noteSingleton()
-		if j.State() == StateDone {
-			s.tel.cacheHits.Inc()
-		} else {
-			s.tel.coalesced.Inc()
-			j.noteCoalesced()
-		}
-		s.mu.Unlock()
-		s.respondJob(w, http.StatusOK, j)
-		return
-	}
-	if _, ok := s.cache.Lookup(id); ok {
-		// Complete entry from a previous process (or an evicted job
-		// record). Verify before serving: ReadArtifact hashes the result
-		// against the entry's manifest and discards corrupt debris, in
-		// which case this submission falls through to a fresh execution
-		// instead of answering from a poisoned entry.
-		if _, err := s.cache.ReadArtifact(id, ResultArtifact); err == nil {
-			s.tel.cacheHits.Inc()
-			j := s.registerLocked(newCachedJob(id, sp))
-			s.mu.Unlock()
-			s.respondJob(w, http.StatusOK, j)
-			return
-		}
-	}
-	s.tel.cacheMisses.Inc()
-	if s.draining {
-		s.mu.Unlock()
-		draining(w, errors.New("serve: draining, not accepting new runs"))
-		return
-	}
-	j := newJob(id, sp)
-	j.noteSingleton()
-	j.flow = flowKey{tenant: tenantOf(r)}
-	j.sseEvents, j.sseDropped = s.tel.sseEvents, s.tel.sseDropped
-	j.flight = telemetry.NewFlight(id)
-	j.flight.Instant("job", "submit", map[string]string{
-		"workload": sp.Workload, "scheduler": sp.Scheduler,
-	})
-	j.enqueuedAt = time.Now()
-	j.queueEnd = j.flight.Start("job", "queue")
-	if err := s.fq.Push(j, 1); err != nil {
-		s.mu.Unlock()
+	j, source, err := s.resolveLocked(id, sp, flowKey{tenant: tenantOf(r)}, 1)
+	s.mu.Unlock()
+	switch source {
+	case CellSourceDedupe:
+		s.tel.coalesced.Inc()
+		j.noteCoalesced()
+	case CellSourceCache:
+		s.tel.cacheHits.Inc()
+	case CellSourceRun:
+		s.tel.cacheMisses.Inc()
 		if errors.Is(err, errQueueClosed) {
 			draining(w, errors.New("serve: draining, not accepting new runs"))
 			return
 		}
-		// Load shedding: the queue is momentarily saturated. 429 with
-		// Retry-After tells well-behaved clients to back off and retry
-		// the same (idempotent) submission.
-		s.tel.shed.Inc()
-		rateLimited(w, 1,
-			fmt.Errorf("serve: launch queue full (%d queued), retry later", s.tel.queueDepth.Value()))
+		if err != nil {
+			// Load shedding: the queue is momentarily saturated. 429 with
+			// Retry-After tells well-behaved clients to back off and retry
+			// the same (idempotent) submission.
+			s.tel.shed.Inc()
+			rateLimited(w, 1,
+				fmt.Errorf("serve: launch queue full (%d queued), retry later", s.tel.queueDepth.Value()))
+			return
+		}
+		s.respondJob(w, http.StatusAccepted, j)
 		return
+	}
+	s.respondJob(w, http.StatusOK, j)
+}
+
+// resolveLocked is the one path from a RunSpec, by its content hash id, to
+// the job that answers it — for a direct /v1/runs submission and for every
+// sweep cell alike. The source reports which tier answered:
+//
+//   - CellSourceDedupe: a queued or running job in this process; attach.
+//   - CellSourceCache: a completed job in this process, or a disk-cache
+//     entry whose result verifies (corrupt debris is discarded and falls
+//     through to a fresh execution instead of being served).
+//   - CellSourceRun: a fresh execution, pushed onto flow with the given WRR
+//     weight.
+//
+// flow.sweep is recorded as an owner of a job still to run ("" for a
+// direct submission). A failed push (errQueueFull, errQueueClosed) returns the
+// unregistered job with the error; laperm_queue_depth rises only once the
+// push succeeds. Caller holds s.mu.
+func (s *Server) resolveLocked(id string, sp spec.RunSpec, flow flowKey, weight int) (*Job, string, error) {
+	if j := s.jobs[id]; j != nil {
+		switch j.State() {
+		case StateDone:
+			return j, CellSourceCache, nil
+		case StateQueued, StateRunning:
+			j.addOwner(flow.sweep)
+			return j, CellSourceDedupe, nil
+		}
+		// A failed record falls through: failures are never cached, and
+		// the resubmission supersedes it.
+	}
+	if _, err := s.cache.ReadArtifact(id, ResultArtifact); err == nil {
+		return s.registerLocked(newCachedJob(id, sp)), CellSourceCache, nil
+	}
+	j := newJob(id, sp)
+	j.flow = flow
+	j.addOwner(flow.sweep)
+	j.sseEvents, j.sseDropped = s.tel.sseEvents, s.tel.sseDropped
+	j.flight = telemetry.NewFlight(id)
+	attrs := map[string]string{"workload": sp.Workload, "scheduler": sp.Scheduler}
+	if flow.sweep != "" {
+		attrs["sweep"] = flow.sweep
+	}
+	j.flight.Instant("job", "submit", attrs)
+	j.enqueuedAt = time.Now()
+	j.queueEnd = j.flight.Start("job", "queue")
+	if err := s.fq.Push(j, weight); err != nil {
+		return j, CellSourceRun, err
 	}
 	s.registerLocked(j)
 	s.tel.queueDepth.Inc()
 	s.logTransition(j, "queued")
-	s.mu.Unlock()
-	s.respondJob(w, http.StatusAccepted, j)
+	return j, CellSourceRun, nil
 }
 
 // registerLocked adds a job to the registry under s.mu, assigning its
@@ -511,29 +524,84 @@ func (s *Server) registerLocked(j *Job) *Job {
 	return j
 }
 
-// lookupJob resolves id to a job, materializing one for disk-only cache
-// entries left by a previous process.
-func (s *Server) lookupJob(id string) *Job {
+// registerSweepLocked is registerLocked for sweeps.
+func (s *Server) registerSweepLocked(sw *Sweep) *Sweep {
+	if existing := s.sweeps[sw.ID]; existing != nil && existing.State() != StateFailed {
+		return existing
+	}
+	s.jobSeq++
+	sw.seq = s.jobSeq
+	s.sweeps[sw.ID] = sw
+	return sw
+}
+
+// kind is one of the two entry types that share the content-addressed
+// cache: runs and sweeps. On disk they differ only by their spec artifact.
+type kind struct {
+	noun      string   // "run" or "sweep", for error messages
+	spec      string   // the spec artifact only entries of this kind hold
+	artifacts []string // every artifact a completed entry of this kind exposes
+}
+
+var (
+	runKind   = &kind{"run", SpecArtifact, ArtifactNames}
+	sweepKind = &kind{"sweep", SweepSpecArtifact, SweepArtifactNames}
+)
+
+// entry is a loaded run (*Job) or sweep (*Sweep).
+type entry interface {
+	subscribeSince(afterID uint64) subscription
+}
+
+// load resolves id to its in-process record of kind k, materializing a
+// cached one from a disk-only entry a previous process left. The entry's
+// spec artifact decides its kind, so a sweep's ID never loads as a run nor
+// a run's as a sweep. Returns nil (with the read error, if any) when id is
+// no entry of kind k.
+func (s *Server) load(id string, k *kind) (entry, error) {
 	s.mu.Lock()
-	j := s.jobs[id]
+	if j, ok := s.jobs[id]; ok && k == runKind {
+		s.mu.Unlock()
+		return j, nil
+	}
+	if sw, ok := s.sweeps[id]; ok && k == sweepKind {
+		s.mu.Unlock()
+		return sw, nil
+	}
 	s.mu.Unlock()
-	if j != nil {
-		return j
+	raw, err := s.cache.ReadArtifact(id, k.spec)
+	if err != nil {
+		return nil, err
 	}
-	if _, ok := s.cache.Lookup(id); !ok {
-		return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k == sweepKind {
+		sp, err := spec.ParseSweep(raw)
+		if err != nil {
+			return nil, err
+		}
+		return s.registerSweepLocked(newSweep(id, sp.Normalized(), true)), nil
 	}
-	sp := spec.RunSpec{}
-	if raw, err := s.cache.ReadArtifact(id, SpecArtifact); err == nil {
-		if parsed, err := spec.Parse(raw); err == nil {
-			sp = parsed.Normalized()
+	sp, err := spec.Parse(raw)
+	if err != nil {
+		return nil, err
+	}
+	return s.registerLocked(newCachedJob(id, sp.Normalized())), nil
+}
+
+// find is load for handlers: when id is no entry of kind k it answers the
+// request itself — 404, or a retryable 503 for an injected cache-read
+// fault — and returns nil.
+func (s *Server) find(w http.ResponseWriter, id string, k *kind) entry {
+	e, err := s.load(id, k)
+	if e == nil {
+		if faults.IsInjected(err) {
+			transientErr(w, err)
+		} else {
+			notFound(w, fmt.Errorf("serve: no %s %q", k.noun, id))
 		}
 	}
-	j = newCachedJob(id, sp)
-	s.mu.Lock()
-	j = s.registerLocked(j)
-	s.mu.Unlock()
-	return j
+	return e
 }
 
 // respondJob writes a job view, embedding the cached result and artifact
@@ -550,60 +618,53 @@ func (s *Server) respondJob(w http.ResponseWriter, status int, j *Job) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j := s.lookupJob(id)
-	if j == nil {
-		notFound(w, fmt.Errorf("serve: no run %q", id))
-		return
+	if e := s.find(w, r.PathValue("id"), runKind); e != nil {
+		s.respondJob(w, http.StatusOK, e.(*Job))
 	}
-	s.respondJob(w, http.StatusOK, j)
 }
 
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	id, name := r.PathValue("id"), r.PathValue("name")
-	known := false
-	for _, n := range ArtifactNames {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		notFound(w,
-			fmt.Errorf("serve: unknown artifact %q (valid: %v)", name, ArtifactNames))
-		return
-	}
-	data, err := s.cache.ReadArtifact(id, name)
-	if err != nil {
-		// A transient (injected) read failure is retryable; everything
-		// else — no entry, or a corrupt entry that verification just
-		// discarded — is an honest miss the caller resolves by
-		// resubmitting the run.
-		if faults.IsInjected(err) {
-			transientErr(w, err)
+// handleArtifact serves one artifact of a completed run or sweep of kind k.
+func (s *Server) handleArtifact(k *kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, name := r.PathValue("id"), r.PathValue("name")
+		if !slices.Contains(k.artifacts, name) {
+			notFound(w, fmt.Errorf("serve: unknown %s artifact %q (valid: %v)", k.noun, name, k.artifacts))
 			return
 		}
-		notFound(w, fmt.Errorf("serve: no artifact %s for run %q", name, id))
-		return
+		if s.find(w, id, k) == nil {
+			return
+		}
+		data, err := s.cache.ReadArtifact(id, name)
+		if err != nil {
+			// A transient (injected) read failure is retryable; everything
+			// else — no entry, or a corrupt entry that verification just
+			// discarded — is an honest miss the caller resolves by
+			// resubmitting.
+			if faults.IsInjected(err) {
+				transientErr(w, err)
+				return
+			}
+			notFound(w, fmt.Errorf("serve: no artifact %s for %s %q", name, k.noun, id))
+			return
+		}
+		w.Header().Set("Content-Type", artifactContentType(name))
+		w.Write(data)
 	}
-	w.Header().Set("Content-Type", artifactContentType(name))
-	w.Write(data)
 }
 
-// handleEvents streams a job's lifecycle over Server-Sent Events: a "state"
-// snapshot immediately, then state transitions, retry notices, batch
-// "progress" ticks, and timeline "sample" events until the job reaches a
-// terminal state. Every published event carries a job-scoped monotonic
-// `id:`; a client reconnecting with Last-Event-ID replays everything it
-// missed from the job's ring before rejoining the live stream.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j := s.lookupJob(id)
-	if j == nil {
-		notFound(w, fmt.Errorf("serve: no run %q", id))
-		return
+// handleEvents streams a run's or sweep's lifecycle over Server-Sent
+// Events. Runs publish a "state" snapshot, state transitions, retry
+// notices, batch "progress" ticks, and timeline "sample" events; sweeps
+// publish per-cell "cell" completions and their own state transitions.
+// Every published event carries a stream-scoped monotonic `id:`; a client
+// reconnecting with Last-Event-ID replays everything it missed from the
+// stream's ring before rejoining the live stream.
+func (s *Server) handleEvents(k *kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if e := s.find(w, r.PathValue("id"), k); e != nil {
+			s.streamSSE(w, r, e.subscribeSince)
+		}
 	}
-	s.streamSSE(w, r, j.subscribeSince)
 }
 
 // streamSSE runs the SSE protocol over any stream (job or sweep): snapshot

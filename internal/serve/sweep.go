@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"laperm/internal/exp"
-	"laperm/internal/faults"
 	"laperm/internal/gpu"
 	"laperm/internal/spec"
 	"laperm/internal/telemetry"
@@ -26,12 +24,13 @@ const (
 // SweepArtifactNames lists every artifact a completed sweep exposes.
 var SweepArtifactNames = []string{SweepSpecArtifact, SweepCellsArtifact, ResultArtifact}
 
-// Cell sources: how the sweep obtained each cell.
+// Sources: which tier of resolveLocked answered a sweep cell (or a direct
+// run submission).
 const (
-	// CellSourceRun is a fresh execution this sweep scheduled.
+	// CellSourceRun is a fresh execution the request scheduled.
 	CellSourceRun = "run"
 	// CellSourceDedupe attached to work another request already owns — a
-	// concurrent sweep's cell or an in-flight singleton run.
+	// concurrent sweep's cell or an in-flight direct run.
 	CellSourceDedupe = "dedupe"
 	// CellSourceCache was answered from a completed job or the disk cache
 	// without executing anything.
@@ -48,11 +47,11 @@ type sweepCell struct {
 	state  State
 	errKind,
 	errMsg string
-	job *Job // nil for cells answered straight from the disk cache
+	job *Job // the job answering the cell
 }
 
 // Sweep is one submitted parameter sweep, keyed by its SweepSpec hash. All
-// mutable fields are guarded by the embedded hub's mutex (promoted as
+// mutable fields are guarded by the embedded record's mutex (promoted as
 // sw.mu).
 type Sweep struct {
 	// ID is the SweepSpec content hash — sweep ID, coalescing key, and the
@@ -63,48 +62,29 @@ type Sweep struct {
 	// Axes caches the axis field names in order (the cells.csv header).
 	Axes []string
 
-	seq    uint64
-	flight *telemetry.Flight
-
-	hub
-	state     State
-	errMsg    string
-	errKind   string
-	cached    bool // sweep artifacts served from the disk cache
+	record
 	canceled  bool
-	coalesced int64
 	cells     []*sweepCell
 	remaining int // cells not yet terminal
 	failed    int // cells that reached failed
 	deduped   int // cells attached to work another request owns
 	fromCache int // cells answered without executing
 	scheduled int // cells freshly scheduled by this sweep
-	doneAt    time.Time
 }
 
-func newSweep(id string, sp spec.SweepSpec, axes []string) *Sweep {
-	return &Sweep{ID: id, Spec: sp, Axes: axes, state: StateRunning, hub: newHub()}
-}
-
-// newCachedSweep materializes a sweep for a disk-cache hit: born terminal,
-// no cell table (the cell detail lives in the cached cells.csv).
-func newCachedSweep(id string, sp spec.SweepSpec, axes []string) *Sweep {
-	return &Sweep{ID: id, Spec: sp, Axes: axes, state: StateDone, cached: true, hub: newHub()}
-}
-
-// State returns the current state.
-func (sw *Sweep) State() State {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.state
-}
-
-func (sw *Sweep) terminalLocked() bool { return sw.state == StateDone || sw.state == StateFailed }
-
-func (sw *Sweep) noteCoalesced() {
-	sw.mu.Lock()
-	sw.coalesced++
-	sw.mu.Unlock()
+// newSweep builds a sweep record for a normalized spec: running and
+// freshly scheduled, or (cached) born done from a disk-cache hit, with no
+// cell table — the cell detail lives in the cached cells.csv.
+func newSweep(id string, sp spec.SweepSpec, cached bool) *Sweep {
+	axes := make([]string, len(sp.Axes))
+	for i, ax := range sp.Axes {
+		axes[i] = ax.Field
+	}
+	state := StateRunning
+	if cached {
+		state = StateDone
+	}
+	return &Sweep{ID: id, Spec: sp, Axes: axes, record: newRecord(state, cached)}
 }
 
 // sweepCellView is one row of the sweep's wire cell table.
@@ -200,10 +180,9 @@ func (sw *Sweep) subscribeSince(afterID uint64) subscription {
 }
 
 // handleSweepSubmit accepts a SweepSpec, expands it server-side, resolves
-// every cell by content hash — attaching to in-flight work, answering from
-// the cache, or scheduling a fresh execution on the sweep's fair-share flow
-// — and returns the sweep view (202 for newly scheduled sweeps, 200 for
-// coalesced or cached ones).
+// every cell through resolveLocked on the sweep's fair-share flow, and
+// returns the sweep view (202 for newly scheduled sweeps, 200 for coalesced
+// or cached ones).
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -231,10 +210,6 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	axes := make([]string, len(sp.Axes))
-	for i, ax := range sp.Axes {
-		axes[i] = ax.Field
-	}
 	s.tel.sweepSubmissions.Inc()
 
 	s.mu.Lock()
@@ -245,21 +220,14 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		sw.noteCoalesced()
 		s.tel.sweepsCoalesced.Inc()
 		s.mu.Unlock()
-		s.respondSweep(w, http.StatusOK, sw, false)
+		writeJSON(w, http.StatusOK, sw.view(false))
 		return
 	}
-	if _, ok := s.cache.Lookup(id); ok {
-		if _, err := s.cache.ReadArtifact(id, ResultArtifact); err == nil {
-			sw := newCachedSweep(id, sp, axes)
-			if existing := s.sweeps[id]; existing != nil {
-				sw = existing
-			} else {
-				s.sweeps[id] = sw
-			}
-			s.mu.Unlock()
-			s.respondSweep(w, http.StatusOK, sw, false)
-			return
-		}
+	if _, err := s.cache.ReadArtifact(id, ResultArtifact); err == nil {
+		sw := s.registerSweepLocked(newSweep(id, sp, true))
+		s.mu.Unlock()
+		writeJSON(w, http.StatusOK, sw.view(false))
+		return
 	}
 	if s.draining {
 		s.mu.Unlock()
@@ -277,7 +245,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sw := newSweep(id, sp, axes)
+	sw := newSweep(id, sp, false)
 	sw.sseEvents, sw.sseDropped = s.tel.sseEvents, s.tel.sseDropped
 	sw.flight = telemetry.NewFlight(id)
 	sw.flight.Instant("sweep", "submit", map[string]string{
@@ -289,9 +257,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, c := range cells {
 		sw.cells[i] = &sweepCell{index: c.Index, runID: c.Hash, values: c.Values, state: StateQueued}
 	}
-	s.jobSeq++
-	sw.seq = s.jobSeq
-	s.sweeps[id] = sw
+	s.registerSweepLocked(sw)
 	s.tel.sweepsActive.Inc()
 	s.tel.sweepCellsExpanded.Add(uint64(len(cells)))
 	s.log.Info("sweep submitted", "sweep", id, "tenant", sp.Tenant, "cells", len(cells))
@@ -299,67 +265,35 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	// Resolve every cell under s.mu: nothing can race a concurrent sweep's
 	// resolution of the same run IDs, and closeQueue (which also takes
 	// s.mu) cannot interleave, so fq.Push cannot fail here.
+	flow := flowKey{tenant: sp.Tenant, sweep: id}
 	for i, c := range cells {
 		cell := sw.cells[i]
-		if j, ok := s.jobs[c.Hash]; ok && j.State() != StateFailed {
-			// Tier 1: in-process job — running, queued, or already done.
-			shared := j.addOwner(id)
-			if j.State() == StateDone {
-				cell.source = CellSourceCache
-				sw.fromCache++
-				s.tel.sweepCellsCached.Inc()
-				s.cellDone(sw, cell, j)
-			} else {
-				cell.source = CellSourceDedupe
-				cell.job = j
-				sw.deduped++
-				if shared {
-					s.tel.sweepCellsDeduped.Inc()
-				}
-				j.addTerminalHook(func(j *Job) { s.cellDone(sw, cell, j) })
-			}
-			continue
-		}
-		// Tier 2: the disk cache, verified before trusting.
-		if _, ok := s.cache.Lookup(c.Hash); ok {
-			if _, err := s.cache.ReadArtifact(c.Hash, ResultArtifact); err == nil {
-				cell.source = CellSourceCache
-				sw.fromCache++
-				s.tel.sweepCellsCached.Inc()
-				j := s.registerLocked(newCachedJob(c.Hash, c.Spec))
-				j.addOwner(id)
-				s.cellDone(sw, cell, j)
-				continue
+		j, source, err := s.resolveLocked(c.Hash, c.Spec, flow, sp.Priority)
+		cell.source, cell.job = source, j
+		switch source {
+		case CellSourceDedupe:
+			sw.deduped++
+			s.tel.sweepCellsDeduped.Inc()
+		case CellSourceCache:
+			sw.fromCache++
+			s.tel.sweepCellsCached.Inc()
+		case CellSourceRun:
+			sw.scheduled++
+			s.tel.sweepCellsScheduled.Inc()
+			if err != nil {
+				// Unreachable by construction (drain is excluded by s.mu
+				// and sweep flows have no depth bound), but never let a
+				// cell silently wedge the sweep if the invariant breaks.
+				s.failJob(j, KindError, err)
 			}
 		}
-		// Tier 3: fresh execution on this sweep's fair-share flow.
-		j := newJob(c.Hash, c.Spec)
-		j.flow = flowKey{tenant: sp.Tenant, sweep: id}
-		j.addOwner(id)
-		j.sseEvents, j.sseDropped = s.tel.sseEvents, s.tel.sseDropped
-		j.flight = telemetry.NewFlight(c.Hash)
-		j.flight.Instant("job", "submit", map[string]string{
-			"workload": c.Spec.Workload, "scheduler": c.Spec.Scheduler, "sweep": id,
-		})
-		j.enqueuedAt = time.Now()
-		j.queueEnd = j.flight.Start("job", "queue")
-		cell.source = CellSourceRun
-		cell.job = j
-		sw.scheduled++
-		s.tel.sweepCellsScheduled.Inc()
-		if err := s.fq.Push(j, sp.Priority); err != nil {
-			// Unreachable by construction (drain is excluded by s.mu and
-			// sweep flows have no depth bound), but never let a cell
-			// silently wedge the sweep if the invariant ever breaks.
-			s.failJob(j, KindError, err)
-		}
-		s.registerLocked(j)
-		s.tel.queueDepth.Inc()
+		// A cached cell's job is already terminal, so its hook settles
+		// the cell right here.
 		j.addTerminalHook(func(j *Job) { s.cellDone(sw, cell, j) })
 	}
 	scheduleEnd()
 	s.mu.Unlock()
-	s.respondSweep(w, http.StatusAccepted, sw, false)
+	writeJSON(w, http.StatusAccepted, sw.view(false))
 }
 
 // cellDone records one cell's terminal outcome on its sweep, publishes the
@@ -367,7 +301,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 // either inline during resolution (cached cells) or as a job terminal hook
 // on the dispatcher's goroutine.
 func (s *Server) cellDone(sw *Sweep, cell *sweepCell, j *Job) {
-	state, errMsg, errKind, _, _ := j.snapshot()
+	state, errMsg, errKind := j.snapshot()
 	data := map[string]any{
 		"index":  cell.index,
 		"run_id": cell.runID,
@@ -445,7 +379,6 @@ func (s *Server) finalizeSweep(sw *Sweep) {
 		sw.errMsg = finalErr.Error()
 	} else {
 		sw.state = StateDone
-		sw.doneAt = time.Now()
 	}
 	view := sw.viewLocked(false)
 	sw.publishLocked(Event{Type: "state", Data: view})
@@ -507,99 +440,12 @@ func (s *Server) writeSweepArtifacts(sw *Sweep, cells []*sweepCell) error {
 	})
 }
 
-// lookupSweep resolves id to a sweep, materializing one for disk-only cache
-// entries left by a previous process.
-func (s *Server) lookupSweep(id string) *Sweep {
-	s.mu.Lock()
-	sw := s.sweeps[id]
-	s.mu.Unlock()
-	if sw != nil {
-		return sw
-	}
-	if _, ok := s.cache.Lookup(id); !ok {
-		return nil
-	}
-	raw, err := s.cache.ReadArtifact(id, SweepSpecArtifact)
-	if err != nil {
-		return nil
-	}
-	sp, err := spec.ParseSweep(raw)
-	if err != nil {
-		return nil
-	}
-	sp = sp.Normalized()
-	axes := make([]string, len(sp.Axes))
-	for i, ax := range sp.Axes {
-		axes[i] = ax.Field
-	}
-	sw = newCachedSweep(id, sp, axes)
-	s.mu.Lock()
-	if existing := s.sweeps[id]; existing != nil {
-		sw = existing
-	} else {
-		s.sweeps[id] = sw
-	}
-	s.mu.Unlock()
-	return sw
-}
-
-// respondSweep writes a sweep view; completed sweeps embed their artifact
-// list (and, with cells, the full cell table).
-func (s *Server) respondSweep(w http.ResponseWriter, status int, sw *Sweep, withCells bool) {
-	writeJSON(w, status, sw.view(withCells))
-}
-
 // handleSweepStatus serves GET /v1/sweeps/{id}: full status with the cell
 // table and dedupe/cache-hit counts.
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sw := s.lookupSweep(id)
-	if sw == nil {
-		notFound(w, fmt.Errorf("serve: no sweep %q", id))
-		return
+	if e := s.find(w, r.PathValue("id"), sweepKind); e != nil {
+		writeJSON(w, http.StatusOK, e.(*Sweep).view(true))
 	}
-	s.respondSweep(w, http.StatusOK, sw, true)
-}
-
-// handleSweepEvents streams a sweep's lifecycle over SSE: a "state"
-// snapshot, then per-cell "cell" completion events and the terminal "state"
-// transition, with the same monotonic-id / Last-Event-ID resume contract as
-// run streams.
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sw := s.lookupSweep(id)
-	if sw == nil {
-		notFound(w, fmt.Errorf("serve: no sweep %q", id))
-		return
-	}
-	s.streamSSE(w, r, sw.subscribeSince)
-}
-
-// handleSweepArtifact serves one sweep-level artifact.
-func (s *Server) handleSweepArtifact(w http.ResponseWriter, r *http.Request) {
-	id, name := r.PathValue("id"), r.PathValue("name")
-	known := false
-	for _, n := range SweepArtifactNames {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		notFound(w, fmt.Errorf("serve: unknown sweep artifact %q (valid: %v)", name, SweepArtifactNames))
-		return
-	}
-	data, err := s.cache.ReadArtifact(id, name)
-	if err != nil {
-		if faults.IsInjected(err) {
-			transientErr(w, err)
-			return
-		}
-		notFound(w, fmt.Errorf("serve: no artifact %s for sweep %q", name, id))
-		return
-	}
-	w.Header().Set("Content-Type", artifactContentType(name))
-	w.Write(data)
 }
 
 // handleSweepCancel implements POST /v1/sweeps/{id}/cancel: queued cells
@@ -618,7 +464,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	if sw.State() == StateDone || sw.State() == StateFailed {
 		s.mu.Unlock()
-		s.respondSweep(w, http.StatusOK, sw, false)
+		writeJSON(w, http.StatusOK, sw.view(false))
 		return
 	}
 
@@ -633,7 +479,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		j := cell.job
-		if j != nil && j.State() == StateQueued && !j.sharedBeyond(id) && s.fq.Remove(j) {
+		if j.State() == StateQueued && !j.sharedBeyond(id) && s.fq.Remove(j) {
 			release = append(release, j)
 			cell.state = StateFailed
 			cell.errKind = KindCanceled
@@ -671,5 +517,5 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	s.flights.Add(sw.flight)
 	s.log.Info("sweep canceled", "sweep", id, "released", len(release))
 	s.mu.Unlock()
-	s.respondSweep(w, http.StatusOK, sw, false)
+	writeJSON(w, http.StatusOK, sw.view(false))
 }

@@ -562,3 +562,97 @@ func TestSweepEvents(t *testing.T) {
 		t.Fatalf("resume missing terminal state:\n%s", resumed)
 	}
 }
+
+// TestRunAfterSweepKeepsSharedCell: a direct run submitted for a sweep's
+// exclusive queued cell coalesces onto it and claims it, so cancelling the
+// sweep releases only its other cells and leaves that job to run.
+func TestRunAfterSweepKeepsSharedCell(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	// Not started: every cell stays queued while ownership is set up.
+
+	_, a := submitSweep(t, ts, `{
+		"base": {"scale": "tiny", "sample_every": 256},
+		"axes": [{"field": "workload", "values": ["amr", "bht"]}]
+	}`)
+	code, rv := submit(t, ts, `{"workload":"bht","scale":"tiny","sample_every":256}`)
+	if code != http.StatusOK {
+		t.Fatalf("run for a queued sweep cell: status %d, want 200", code)
+	}
+	if cells := getSweep(t, ts, a.ID).CellTable; cells[1].RunID != rv.ID {
+		t.Fatalf("run id %s is not sweep cell 1's %s", rv.ID, cells[1].RunID)
+	}
+	if m := getMetrics(t, ts); m.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1", m.Coalesced)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/sweeps/"+a.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	s.Start()
+	if jv := waitTerminal(t, ts, rv.ID); jv.State != StateDone {
+		t.Fatalf("claimed cell after sweep cancel: %s (%s), want done", jv.State, jv.Error)
+	}
+	if m := getMetrics(t, ts); m.JobsDone != 1 {
+		t.Fatalf("jobs done = %d, want 1 (the claimed cell runs, the released one does not)", m.JobsDone)
+	}
+}
+
+// TestRunAndSweepIDsDoNotMix: runs and sweeps share the cache but not their
+// endpoints — a sweep ID is no run and a run ID is no sweep, both in the
+// process that ran them and in a fresh one reading the same cache.
+func TestRunAndSweepIDsDoNotMix(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 2, CacheDir: dir})
+	s.Start()
+	_, view := submitSweep(t, ts, tinySweep)
+	final := waitSweepTerminal(t, ts, view.ID)
+	if final.State != StateDone {
+		t.Fatalf("sweep failed: %s", final.Error)
+	}
+	runID := final.CellTable[0].RunID
+
+	s2, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	s2.Start()
+	for name, srv := range map[string]*httptest.Server{"same process": ts, "restarted": ts2} {
+		for _, path := range []string{
+			"/v1/runs/" + view.ID,
+			"/v1/runs/" + view.ID + "/events",
+			"/v1/artifacts/" + view.ID + "/" + ResultArtifact,
+			"/v1/sweeps/" + runID,
+			"/v1/sweeps/" + runID + "/events",
+			"/v1/sweeps/" + runID + "/artifacts/" + ResultArtifact,
+		} {
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s: GET %s = %d, want 404", name, path, resp.StatusCode)
+			}
+		}
+	}
+	// The sweep ID probe above must not have registered a phantom run.
+	resp, err := http.Get(ts.URL + "/v1/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list runsListView
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if list.Total != 4 {
+		t.Fatalf("run listing total = %d, want the sweep's 4 cells", list.Total)
+	}
+	// Each kind still answers on its own endpoints from a fresh process.
+	if v := getStatus(t, ts2, runID); v.State != StateDone {
+		t.Fatalf("restarted run status = %s, want done", v.State)
+	}
+	if v := getSweep(t, ts2, view.ID); v.State != StateDone || !v.Cached {
+		t.Fatalf("restarted sweep status = %s cached %v, want cached done", v.State, v.Cached)
+	}
+}

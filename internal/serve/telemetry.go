@@ -253,8 +253,8 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var f *telemetry.Flight
-	if j := s.lookupJob(id); j != nil {
-		f = j.flight
+	if e, _ := s.load(id, runKind); e != nil {
+		f = e.(*Job).flight
 	}
 	if f == nil {
 		f = s.flights.Get(id)
