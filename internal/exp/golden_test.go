@@ -10,6 +10,7 @@ import (
 
 	"laperm/internal/config"
 	"laperm/internal/kernels"
+	"laperm/internal/smx"
 )
 
 // update regenerates the golden files instead of comparing against them:
@@ -34,6 +35,12 @@ type goldenCell struct {
 	DynamicKernels int    `json:"dynamic_kernels"`
 	Blocks         int    `json:"blocks"`
 	QueueOverflows int64  `json:"queue_overflows"`
+	// The stall counters pin the per-cycle issue loop itself: a retry
+	// shortcut that skipped or double-counted a stalled warp's failed
+	// attempt would move them even where cycles and hit rates do not.
+	MemStallEvents    int64  `json:"mem_stall_events"`
+	LaunchStallEvents int64  `json:"launch_stall_events"`
+	IssueCycles       uint64 `json:"issue_cycles"`
 }
 
 // goldenOptions is the pinned configuration of the snapshot: the SmallTest
@@ -65,6 +72,12 @@ func snapshotMatrix(t *testing.T, dense bool) []goldenCell {
 		for _, model := range Models {
 			for _, sched := range SchedulerNames {
 				r := m.Get(wk.Name, model, sched)
+				var st smx.Stats
+				for _, x := range r.SMXStats {
+					st.MemStallEvents += x.MemStallEvents
+					st.LaunchStallEvents += x.LaunchStallEvents
+					st.IssueCycles += x.IssueCycles
+				}
 				cells = append(cells, goldenCell{
 					Workload:       wk.Name,
 					Model:          model.String(),
@@ -78,6 +91,10 @@ func snapshotMatrix(t *testing.T, dense bool) []goldenCell {
 					DynamicKernels: r.DynamicKernelCount,
 					Blocks:         r.BlockCount,
 					QueueOverflows: r.QueueOverflows,
+
+					MemStallEvents:    st.MemStallEvents,
+					LaunchStallEvents: st.LaunchStallEvents,
+					IssueCycles:       st.IssueCycles,
 				})
 			}
 		}
