@@ -152,7 +152,7 @@ func runClusters(o Options, w io.Writer) error {
 	results, err := sweep(o, len(wks)*len(sizes)*len(scheds), func(i int) (*gpu.Result, error) {
 		cfg := o.config()
 		cfg.NumSMX = 12 // divisible by every swept cluster size
-		cfg.SMXsPerCluster = sizes[(i / len(scheds)) % len(sizes)]
+		cfg.SMXsPerCluster = sizes[(i/len(scheds))%len(sizes)]
 		opt := Options{Scale: o.Scale, Config: cfg}
 		return RunOne(wks[i/(len(sizes)*len(scheds))], gpu.DTBL, scheds[i%len(scheds)], opt)
 	})

@@ -592,6 +592,7 @@ func TestConcurrentIdenticalSubmits(t *testing.T) {
 		t.Fatalf("coalesced %d + hits %d != %d", m.Coalesced, m.CacheHits, n-1)
 	}
 }
+
 // TestHealthz keeps the liveness probe honest.
 func TestHealthz(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
