@@ -1,8 +1,9 @@
 package mem
 
 // Allocation pin for the MSHR table: insert to capacity, reject at the full
-// table, query the stall-wake horizon, and lazily expire the whole table —
-// the complete per-cycle MSHR protocol — with zero allocations. The entry
+// table, decide the stalled retry through the O(1) gate, query the
+// stall-wake horizon, and lazily expire the whole table — the complete
+// per-cycle MSHR protocol — with zero allocations. The entry
 // slice is preallocated to the table's capacity in NewSystem, so this pin
 // holds from the first access, not just after warm-up.
 
@@ -30,6 +31,10 @@ func TestMSHRInsertExpireZeroAlloc(t *testing.T) {
 			_, ok := s.Load(0, line*config.LineSize, now)
 			line++
 			if !ok {
+				// The stalled warp's next retry is decided by the gate.
+				if _, blocked := s.LoadStillBlocked(0, (line-1)*config.LineSize, s.StallMark(0), now+1); !blocked {
+					t.Fatal("gate let a retry through the full table")
+				}
 				rejected = true
 				break
 			}

@@ -25,9 +25,6 @@ func TestMSHRTableJumpSafe(t *testing.T) {
 		4: true, 49: true, 50: true, 69: true, 70: true,
 		71: true, 150: true, 199: true, 200: true, 250: true,
 	}
-	newTable := func() *mshrTable {
-		return &mshrTable{cap: 4, nextExpire: noExpiry, lastAdd: noExpiry}
-	}
 	type answer struct {
 		complete [6]uint64
 		merged   [6]bool
@@ -42,7 +39,7 @@ func TestMSHRTableJumpSafe(t *testing.T) {
 		return a
 	}
 
-	dense, jump := newTable(), newTable()
+	dense, jump := newMSHRTable(4), newMSHRTable(4)
 	denseAt := map[uint64]answer{}
 	for now := uint64(0); now <= 250; now++ {
 		for _, ad := range adds {

@@ -6,10 +6,12 @@ import (
 	"laperm/internal/config"
 )
 
-// mshrEntry is one outstanding L1 miss.
+// mshrEntry is one outstanding L1 miss. seq numbers it in add order
+// (1 for the table's first add).
 type mshrEntry struct {
 	lineID   uint64
 	complete uint64
+	seq      uint64
 }
 
 // noExpiry is the nextExpire sentinel of an empty MSHR table.
@@ -34,6 +36,26 @@ type mshrTable struct {
 	// MSHR merge (and, once the fill lands, an L1 hit) on the very next
 	// cycle, so lastAdd+1 is a wake horizon alongside nextExpire.
 	lastAdd uint64
+	// adds counts entries ever added (the seq of the newest), and
+	// prunedSeq is the highest seq prune has dropped. prune keeps entries
+	// in add order, so the entries numbered above a mark are a suffix of
+	// the slice, and all of them are still present while prunedSeq does
+	// not exceed the mark. stillBlocked rests on both.
+	adds      uint64
+	prunedSeq uint64
+}
+
+// newMSHRTable returns an empty table of the given capacity. The entry slice
+// is preallocated to the capacity: add never runs past it (full gates
+// admission), and prune reuses the backing array, so the MSHR path never
+// allocates again.
+func newMSHRTable(capacity int) *mshrTable {
+	return &mshrTable{
+		entries:    make([]mshrEntry, 0, capacity),
+		cap:        capacity,
+		nextExpire: noExpiry,
+		lastAdd:    noExpiry,
+	}
 }
 
 // lookup returns the completion cycle of an outstanding miss to lineID, if
@@ -62,6 +84,8 @@ func (m *mshrTable) prune(now uint64) {
 			if e.complete < next {
 				next = e.complete
 			}
+		} else if e.seq > m.prunedSeq {
+			m.prunedSeq = e.seq
 		}
 	}
 	m.entries = keep
@@ -73,8 +97,31 @@ func (m *mshrTable) full(now uint64) bool {
 	return len(m.entries) >= m.cap
 }
 
+// stillBlocked reports whether a load of lineID, rejected by LoadAs when the
+// table had seen mark adds, would be rejected again at cycle now. At the
+// rejection the line had no live entry, was not in the L1 and the table was
+// full. A line enters the L1 only through LoadAs's miss path, which always
+// adds an entry for it (a store's Touch never allocates), so the load stays
+// rejected exactly while the table is full and no add since the mark was
+// this line. prunedSeq <= mark proves every such add is still in the table,
+// where the scan of the suffix above the mark sees it; otherwise the answer
+// is false and the caller falls back to LoadAs. Like lookup, it only prunes.
+func (m *mshrTable) stillBlocked(lineID, mark, now uint64) bool {
+	m.prune(now)
+	if len(m.entries) < m.cap || m.prunedSeq > mark {
+		return false
+	}
+	for i := len(m.entries) - 1; i >= 0 && m.entries[i].seq > mark; i-- {
+		if m.entries[i].lineID == lineID {
+			return false
+		}
+	}
+	return true
+}
+
 func (m *mshrTable) add(lineID, complete, now uint64) {
-	m.entries = append(m.entries, mshrEntry{lineID: lineID, complete: complete})
+	m.adds++
+	m.entries = append(m.entries, mshrEntry{lineID: lineID, complete: complete, seq: m.adds})
 	if complete < m.nextExpire {
 		m.nextExpire = complete
 	}
@@ -117,15 +164,7 @@ func NewSystem(cfg *config.GPU) *System {
 	}
 	for i := range s.l1 {
 		s.l1[i] = NewCache(cfg.L1Sets(), cfg.L1Assoc)
-		// The entry slice is preallocated to the table's capacity: add
-		// never runs past it (full gates admission), and prune reuses
-		// the backing array, so the MSHR path never allocates again.
-		s.mshr[i] = &mshrTable{
-			entries:    make([]mshrEntry, 0, cfg.L1MSHRs),
-			cap:        cfg.L1MSHRs,
-			nextExpire: noExpiry,
-			lastAdd:    noExpiry,
-		}
+		s.mshr[i] = newMSHRTable(cfg.L1MSHRs)
 	}
 	for i := range s.l2 {
 		s.l2[i] = NewCache(cfg.L2SetsPerBank(), cfg.L2Assoc)
@@ -196,18 +235,16 @@ func (s *System) dramAccess(ready uint64) uint64 {
 // merge (and, once the fill lands, an L1 hit) — new entries appear only
 // through add, so lastAdd+1 bounds that case; a lastAdd+1 below next has
 // already been observed by a retry and never rearms.
+//
+// It is a pure query (it does not prune), so it may be asked about any cycle,
+// and it needs no scan: nextExpire is the earliest completion among the
+// entries, so before it every entry is live, and from it on at least one
+// entry has expired and the table (never above capacity) has a live slot.
 func (s *System) NextStallWake(smx int, next uint64) uint64 {
 	m := s.mshr[s.cfg.ClusterOf(smx)]
-	live := 0
-	for _, e := range m.entries {
-		if e.complete > next {
-			live++
-		}
-	}
-	if live < m.cap {
+	if len(m.entries) < m.cap || next >= m.nextExpire {
 		return next
 	}
-	// A full table implies no entry expires by next, so nextExpire > next.
 	wake := m.nextExpire
 	if m.lastAdd != noExpiry {
 		if a := m.lastAdd + 1; a >= next && a < wake {
@@ -254,6 +291,25 @@ func (s *System) LoadAs(smx int, lineAddr, now uint64, acc Accessor) (complete u
 	c := s.l2Access(lineID, now, acc)
 	tbl.add(lineID, c, now)
 	return c, true
+}
+
+// StallMark returns the MSHR add count of the table serving the given SMX.
+// A warp records it when LoadAs rejects its load and passes it to
+// LoadStillBlocked on the retry.
+func (s *System) StallMark(smx int) uint64 { return s.mshr[s.cfg.ClusterOf(smx)].adds }
+
+// LoadStillBlocked decides in O(1) whether a retry at cycle now of a load
+// LoadAs rejected, with mark from StallMark or a previous call, would be
+// rejected again. When it would, it returns blocked=true and the mark for
+// the next retry; the retry then has no effect beyond LoadAs's own lazy
+// prune, so the caller may skip LoadAs. blocked=false means the caller must
+// retry through LoadAs, which may still reject.
+func (s *System) LoadStillBlocked(smx int, lineAddr, mark, now uint64) (newMark uint64, blocked bool) {
+	m := s.mshr[s.cfg.ClusterOf(smx)]
+	if !m.stillBlocked(lineAddr/config.LineSize, mark, now) {
+		return mark, false
+	}
+	return m.adds, true
 }
 
 // Store performs one coalesced 128-byte store transaction. Kepler L1s are

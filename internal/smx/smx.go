@@ -97,7 +97,8 @@ type warp struct {
 	readyAt uint64
 	// pending holds coalesced line addresses of the current memory
 	// instruction not yet accepted by the memory system (MSHR stalls).
-	// It always aliases lineBuf — a warp instruction coalesces to at most
+	// Each retry of pending[0] is decided in O(1) against stallMark. It
+	// always aliases lineBuf — a warp instruction coalesces to at most
 	// WarpSize lines — so issuing memory instructions never allocates.
 	pending []uint64
 	// lineBuf is the warp-owned coalescer scratch buffer backing pending.
@@ -105,8 +106,11 @@ type warp struct {
 	// pendingMax is the latest completion cycle among the transactions
 	// already issued for the current memory instruction.
 	pendingMax uint64
-	atBarrier  bool
-	done       bool
+	// stallMark is the mem.StallMark of the warp's last rejected load,
+	// valid while pending is non-empty.
+	stallMark uint64
+	atBarrier bool
+	done      bool
 	// launchStalled marks a warp blocked at a launch instruction by a
 	// full launch queue; it retries the launch every cycle.
 	launchStalled bool
@@ -172,7 +176,9 @@ type SMX struct {
 	// launch queue / MSHR table. Each such warp retries exactly once per
 	// cycle (a failed attempt sets readyAt past the current cycle), so
 	// these counts are also the per-cycle stall-event rates the
-	// fast-forward clock bulk-applies over skipped spans.
+	// fast-forward clock bulk-applies over skipped spans. A memory-stalled
+	// warp's retry is decided in O(1) by mem.LoadStillBlocked; only a retry
+	// that may succeed re-runs LoadAs.
 	launchStalledWarps int
 	memStalledWarps    int
 	// scanShort records that the last issue scan stopped at the issue
@@ -460,6 +466,15 @@ func (s *SMX) Tick(now uint64) {
 // for warp w and reports whether an instruction issued.
 func (s *SMX) issue(w *warp, now uint64) bool {
 	if len(w.pending) > 0 {
+		// Retry of an MSHR-rejected load. While the memory system proves
+		// the retry would be rejected again, count the stall without
+		// re-running LoadAs; otherwise resume through issueMem.
+		if mark, blocked := s.mem.LoadStillBlocked(s.ID, w.pending[0], w.stallMark, now); blocked {
+			w.stallMark = mark
+			w.readyAt = now + 1
+			s.stats.MemStallEvents++
+			return false
+		}
 		return s.issueMem(w, nil, now)
 	}
 	in := &w.stream()[w.pc]
@@ -529,6 +544,7 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 				if !wasStalled {
 					s.memStalledWarps++
 				}
+				w.stallMark = s.mem.StallMark(s.ID)
 				w.readyAt = now + 1
 				s.stats.MemStallEvents++
 				return false
