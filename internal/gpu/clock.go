@@ -150,17 +150,21 @@ func (p tbPhase) Skip(cycles uint64) {
 // retirement, lowered to the MSHR-release cycle when warps are stalled on a
 // full MSHR table. Skipped spans bulk-apply the per-cycle effects a dense
 // tick would have had — resident-cycle counting and the once-per-cycle
-// failing retry of every stalled warp, whose launch-path share feeds the
-// engine's backpressure counter exactly as the elided Launch callbacks
-// would have (trace events are per-episode, not per-retry, so none are
-// elided).
+// failing retry of every stalled warp, counted in each SMX's Stats, from
+// which Result.LaunchStallCycles is summed (trace events are per-episode,
+// not per-retry, so none are elided). The phase runs after KMU and TB
+// dispatch, the only places launch pools drain, so a launch gate
+// (Simulator.LaunchBlocked) closed when an SMX's tick starts stays closed
+// through it: TickFF decides that SMX's launch retries without Launch
+// calls, and elides its tick inside the cached horizon window.
 type smxPhase struct{ s *Simulator }
 
 func (p smxPhase) Tick(now uint64) error {
 	if p.s.ff {
 		// Under fast-forward the horizons computed for the last merge also
 		// prove, per SMX, that nothing can happen on this processed cycle;
-		// TickFF elides those SMXs' ticks entirely (see smx.TickFF).
+		// TickFF elides those SMXs' ticks entirely and gates launch retries
+		// (see smx.TickFF).
 		for _, x := range p.s.smxs {
 			x.TickFF(now)
 		}
@@ -184,7 +188,7 @@ func (p smxPhase) NextEvent(next uint64) uint64 {
 
 func (p smxPhase) Skip(cycles uint64) {
 	for _, x := range p.s.smxs {
-		p.s.launchStallCycles += x.SkipIdle(cycles)
+		x.SkipIdle(cycles)
 	}
 }
 

@@ -108,7 +108,9 @@ func TestClockEquivalenceMatrix(t *testing.T) {
 // TestClockEquivalenceBackpressure pins the hard case for idle-span elision:
 // bounded launch queues put warps into launch-stall loops whose every retry
 // cycle is accounted (LaunchStallCycles), and queue-frees cross component
-// boundaries within a cycle. Both overflow policies must stay cycle-exact.
+// boundaries within a cycle. Both overflow policies must stay cycle-exact,
+// with fast-forward deciding retries through the launch gate and the dense
+// clock calling Launch on every one.
 func TestClockEquivalenceBackpressure(t *testing.T) {
 	for _, policy := range []config.OverflowPolicy{config.StallWarp, config.DropToKMU} {
 		t.Run(fmt.Sprintf("dtbl-agg-%v", policy), func(t *testing.T) {
@@ -120,6 +122,19 @@ func TestClockEquivalenceBackpressure(t *testing.T) {
 				overflowWorkload(4, 6))
 		})
 	}
+	t.Run("dtbl-agg-drop-kmu-full", func(t *testing.T) {
+		// Both pools fill: an overflowing launch is demoted to a KMU pool
+		// that is itself full, so the warp stalls. The launch gate must
+		// stay open while either pool has room.
+		cfg := config.SmallTest()
+		cfg.DTBLAggBufferEntries = 2
+		cfg.DTBLOverflowPolicy = config.DropToKMU
+		cfg.KMUPendingCapacity = 1
+		cfg.CDPLaunchLatency = 40
+		diffClocks(t, gpu.DTBL, cfg,
+			func() gpu.TBScheduler { return core.NewRoundRobin() },
+			overflowWorkload(4, 6))
+	})
 	t.Run("cdp-kmu-pool", func(t *testing.T) {
 		cfg := config.SmallTest()
 		cfg.KMUPendingCapacity = 1

@@ -270,8 +270,8 @@ type Simulator struct {
 	aggUsed     int
 	peakKMU     int
 	peakAgg     int
-	// Backpressure counters surfaced in Result.
-	launchStallCycles   uint64
+	// Backpressure counters surfaced in Result. Stall cycles are summed
+	// from the SMXs' Stats.LaunchStallEvents instead.
 	launchStallEpisodes int64
 	queueOverflows      int64
 	tbsDispatched       uint64
@@ -507,10 +507,24 @@ func (s *Simulator) Launch(smxID int, b *smx.Block, child *isa.Kernel, now uint6
 	return true
 }
 
-// noteStall accounts one stalled launch cycle, emitting a trace event at
-// the start of each episode.
+// LaunchBlocked implements smx.Events: it reports whether every Launch
+// would return false now, i.e. whether the pool a launch lands in is full,
+// and for an OverflowToKMU path the KMU pool behind it too. Pools drain only
+// in kmuDispatch and tbDispatch, which run before the SMX phase, so a true
+// answer holds for the rest of an SMX tick.
+func (s *Simulator) LaunchBlocked() bool {
+	kmuFull := s.cfg.KMUPendingCapacity > 0 && s.kmuInFlight >= s.cfg.KMUPendingCapacity
+	if !s.path.Direct {
+		return kmuFull
+	}
+	return s.path.Capacity > 0 && s.aggUsed >= s.path.Capacity && (!s.path.OverflowToKMU || kmuFull)
+}
+
+// noteStall accounts a refused launch, emitting a trace event at the start
+// of each episode. The stall cycle itself is counted by the SMX
+// (Stats.LaunchStallEvents), so a refused retry has no effect here and the
+// fast-forward clock may decide it without calling Launch.
 func (s *Simulator) noteStall(smxID int, parent *KernelInstance, child *isa.Kernel, retry bool, queue string) {
-	s.launchStallCycles++
 	if !retry {
 		s.launchStallEpisodes++
 		if s.traceQ != nil {

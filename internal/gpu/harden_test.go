@@ -274,8 +274,9 @@ func TestTraceQueueObservesBackpressure(t *testing.T) {
 	if int64(stalls) != res.LaunchStallEpisodes {
 		t.Errorf("traced %d stall events, result counts %d episodes", stalls, res.LaunchStallEpisodes)
 	}
-	if uint64(stalls) >= res.LaunchStallCycles && res.LaunchStallCycles > uint64(stalls) {
-		t.Errorf("episodes %d vs stall cycles %d inconsistent", stalls, res.LaunchStallCycles)
+	// Every episode lasts at least its first refused cycle.
+	if res.LaunchStallCycles < uint64(stalls) {
+		t.Errorf("%d stall episodes but only %d stall cycles", stalls, res.LaunchStallCycles)
 	}
 }
 

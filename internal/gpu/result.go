@@ -196,7 +196,6 @@ func (s *Simulator) result() *Result {
 
 		DRAMTransactions: s.memsys.DRAMTransactions(),
 
-		LaunchStallCycles:   s.launchStallCycles,
 		LaunchStallEpisodes: s.launchStallEpisodes,
 		QueueOverflows:      s.queueOverflows,
 		PeakKMUPending:      s.peakKMU,
@@ -204,9 +203,11 @@ func (s *Simulator) result() *Result {
 	}
 	r.SMXStats = make([]smx.Stats, len(s.smxs))
 	for i, x := range s.smxs {
-		r.SMXStats[i] = x.Stats()
-		r.ThreadInsts += x.Stats().ThreadInsts
-		r.BlockCount += x.Stats().BlocksCompleted
+		st := x.Stats()
+		r.SMXStats[i] = st
+		r.ThreadInsts += st.ThreadInsts
+		r.BlockCount += st.BlocksCompleted
+		r.LaunchStallCycles += uint64(st.LaunchStallEvents)
 	}
 	if r.Cycles > 0 {
 		r.IPC = float64(r.ThreadInsts) / float64(r.Cycles)

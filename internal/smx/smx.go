@@ -56,6 +56,14 @@ type Events interface {
 	// and retry next cycle; retry marks such a reissue of a previously
 	// stalled launch.
 	Launch(smxID int, b *Block, child *isa.Kernel, now uint64, retry bool) bool
+	// LaunchBlocked reports whether every Launch would return false right
+	// now. The fast-forward tick (TickFF) asks it once when the tick
+	// starts and, while it holds, decides each launch-stalled warp's
+	// retry without calling Launch. That is exact only if a failing retry
+	// has no effect beyond the stall itself, and if the answer cannot
+	// turn false during the tick: launch pools may fill but not drain
+	// while SMXs tick. The dense Tick never asks.
+	LaunchBlocked() bool
 	// BlockDone is invoked when every warp of a resident block has
 	// retired and its resources have been freed. The Block record may be
 	// recycled for a later dispatch once the callback returns, so
@@ -178,7 +186,9 @@ type SMX struct {
 	// these counts are also the per-cycle stall-event rates the
 	// fast-forward clock bulk-applies over skipped spans. A memory-stalled
 	// warp's retry is decided in O(1) by mem.LoadStillBlocked; only a retry
-	// that may succeed re-runs LoadAs.
+	// that may succeed re-runs LoadAs. Under TickFF a launch-stalled
+	// warp's retry is decided by the tick-wide Events.LaunchBlocked answer;
+	// only a retry that may succeed calls Launch.
 	launchStalledWarps int
 	memStalledWarps    int
 	// scanShort records that the last issue scan stopped at the issue
@@ -282,13 +292,14 @@ func (s *SMX) Stats() Stats { return s.stats }
 // retry can only advance when the table frees a slot at a known
 // fill-completion cycle or the cycle after another warp's access makes the
 // blocked line mergeable (mem.NextStallWake covers both). Warps stalled on
-// a full launch queue contribute nothing: the queue only frees through
-// KMU/TB dispatch or a block retirement, each of which is already a horizon
-// source, and the stalled warps are re-scanned on every processed cycle. It
-// returns ^uint64(0) when the SMX holds no work at all, so the engine's
-// fast-forward clock may skip it entirely until a dispatch makes it
-// actionable again. Engine-driven changes (AddBlockAttr) lower nextReady
-// themselves, so the bound stays valid across skipped spans.
+// a full launch queue contribute nothing: the queue only frees through KMU
+// or TB dispatch, each of which runs on a processed cycle before the SMX
+// phase, and TickFF retries the stalled warps on every processed cycle on
+// which the queue is open. It returns ^uint64(0) when the SMX holds no work
+// at all, so the engine's fast-forward clock may skip it entirely until a
+// dispatch makes it actionable again. Engine-driven changes (AddBlockAttr)
+// lower nextReady themselves, so the bound stays valid across skipped
+// spans.
 //
 // All of this presumes every stalled warp retried on the last processed
 // cycle; when the issue scan stopped short (scanShort), a starved warp's
@@ -319,47 +330,58 @@ func (s *SMX) nextEvent(next uint64) uint64 {
 	return h
 }
 
-// TickFF is Tick under the fast-forward clock: when the cached NextEvent
-// window proves the SMX cannot act at cycle now, the whole tick — including
-// the per-cycle issue scan a memory-stalled SMX would otherwise pay — is
-// replaced by a one-cycle SkipIdle. This is the engine's span-skip argument
-// applied to a single SMX on a cycle some other component pinned: inside
-// [horizonAt, horizon) the SMX's warps, retiring blocks, and private MSHR
-// table cannot change except through its own tick or an engine dispatch
-// (which invalidates the cache), so every elided stall retry would have
-// failed. Warps stalled on a full launch queue disqualify the elision — the
-// queue can free through another component's action on this very cycle,
-// which the cached window does not see.
+// TickFF is Tick under the fast-forward clock. It asks Events.LaunchBlocked
+// once, when the SMX has launch-stalled warps, and while the launch gate is
+// closed it decides every such warp's retry without calling Launch. A gate
+// closed when the tick starts stays closed for the whole tick: launch pools
+// drain only in the engine's KMU and TB dispatch phases, which run before
+// the SMX phase, while a Launch only fills a pool. A failing retry changes
+// nothing the skipped Launch call would have changed except the stall
+// count, which the SMX keeps itself.
+//
+// When, in addition, the cached NextEvent window proves the SMX cannot act
+// at cycle now, the whole tick — including the per-cycle issue scan a
+// stalled SMX would otherwise pay — is replaced by a one-cycle SkipIdle.
+// This is the engine's span-skip argument applied to a single SMX on a cycle
+// some other component pinned: inside [horizonAt, horizon) the SMX's warps,
+// retiring blocks, and private MSHR table cannot change except through its
+// own tick or an engine dispatch (which invalidates the cache), so every
+// elided stall retry would have failed. Launch-stalled warps allow the
+// elision only under a closed gate; an open one may have been freed by
+// another component on this very cycle, which the window does not see.
 func (s *SMX) TickFF(now uint64) {
-	if s.launchStalledWarps == 0 && s.horizonAt <= now && now < s.horizon {
+	blocked := s.launchStalledWarps > 0 && s.events.LaunchBlocked()
+	if (s.launchStalledWarps == 0 || blocked) && s.horizonAt <= now && now < s.horizon {
 		s.SkipIdle(1)
 		return
 	}
-	s.Tick(now)
+	s.tick(now, blocked)
 }
 
 // SkipIdle credits an elided span of `cycles` cycles, all strictly before
-// every engine horizon, and returns the number of elided failing launch
-// attempts (for the engine's launch-backpressure cycle counter). On such
-// cycles a dense Tick counts resident occupancy and retries each stalled
-// warp exactly once — the retry must fail, since the blocking queue or MSHR
-// table cannot change state before the horizon — so bulk-adding occupancy
-// and the per-cycle stall rates here keeps Stats (and the load-imbalance
-// metric derived from them) byte-identical to dense clocking.
-func (s *SMX) SkipIdle(cycles uint64) (launchRetries uint64) {
+// every engine horizon. On such cycles a dense Tick counts resident
+// occupancy and retries each stalled warp exactly once — the retry must
+// fail, since the blocking queue or MSHR table cannot change state before
+// the horizon — so bulk-adding occupancy and the per-cycle stall rates here
+// keeps Stats (the load-imbalance metric and the engine's launch
+// backpressure counter derived from them) byte-identical to dense clocking.
+func (s *SMX) SkipIdle(cycles uint64) {
 	if len(s.warps) == 0 {
-		return 0
+		return
 	}
 	s.stats.ResidentCycles += cycles
 	s.stats.MemStallEvents += int64(uint64(s.memStalledWarps) * cycles)
-	launchRetries = uint64(s.launchStalledWarps) * cycles
-	s.stats.LaunchStallEvents += int64(launchRetries)
-	return launchRetries
+	s.stats.LaunchStallEvents += int64(uint64(s.launchStalledWarps) * cycles)
 }
 
 // Tick advances the SMX by one cycle, issuing up to IssueWidth warp
 // instructions and retiring blocks whose final instructions have drained.
-func (s *SMX) Tick(now uint64) {
+// It is the dense reference: every launch-stalled warp's retry calls Launch.
+func (s *SMX) Tick(now uint64) { s.tick(now, false) }
+
+// tick is Tick with the launch gate's answer for this tick: when
+// launchBlocked is true, every Launch is known to fail (see TickFF).
+func (s *SMX) tick(now uint64, launchBlocked bool) {
 	if len(s.warps) == 0 {
 		return
 	}
@@ -387,14 +409,14 @@ func (s *SMX) Tick(now uint64) {
 		// Greedy warp first, then oldest (s.warps is in dispatch
 		// order). A warp that issues gets readyAt > now, so one pass
 		// suffices.
-		if s.greedy != nil && s.greedy.canIssue(now) && s.issue(s.greedy, now) {
+		if s.greedy != nil && s.greedy.canIssue(now) && s.issue(s.greedy, now, launchBlocked) {
 			issued++
 		}
 		for _, w := range s.warps {
 			if issued >= s.cfg.IssueWidth {
 				break
 			}
-			if w.canIssue(now) && s.issue(w, now) {
+			if w.canIssue(now) && s.issue(w, now, launchBlocked) {
 				issued++
 				s.greedy = w
 			}
@@ -403,7 +425,7 @@ func (s *SMX) Tick(now uint64) {
 		n := len(s.warps)
 		for i := 0; i < n && issued < s.cfg.IssueWidth; i++ {
 			w := s.warps[(s.rrCursor+i)%n]
-			if w.canIssue(now) && s.issue(w, now) {
+			if w.canIssue(now) && s.issue(w, now, launchBlocked) {
 				issued++
 				s.rrCursor = (s.rrCursor + i + 1) % n
 			}
@@ -419,7 +441,7 @@ func (s *SMX) Tick(now uint64) {
 				hi = n
 			}
 			for i := lo; i < hi && issued < s.cfg.IssueWidth; i++ {
-				if w := s.warps[i]; w.canIssue(now) && s.issue(w, now) {
+				if w := s.warps[i]; w.canIssue(now) && s.issue(w, now, launchBlocked) {
 					issued++
 				}
 			}
@@ -463,8 +485,9 @@ func (s *SMX) Tick(now uint64) {
 }
 
 // issue executes one instruction (or resumes a stalled memory instruction)
-// for warp w and reports whether an instruction issued.
-func (s *SMX) issue(w *warp, now uint64) bool {
+// for warp w and reports whether an instruction issued. launchBlocked is the
+// tick's launch-gate answer.
+func (s *SMX) issue(w *warp, now uint64, launchBlocked bool) bool {
 	if len(w.pending) > 0 {
 		// Retry of an MSHR-rejected load. While the memory system proves
 		// the retry would be rejected again, count the stall without
@@ -476,6 +499,13 @@ func (s *SMX) issue(w *warp, now uint64) bool {
 			return false
 		}
 		return s.issueMem(w, nil, now)
+	}
+	if w.launchStalled && launchBlocked {
+		// Retry of a refused launch while every launch is refused:
+		// count the stall without asking the engine.
+		w.readyAt = now + 1
+		s.stats.LaunchStallEvents++
+		return false
 	}
 	in := &w.stream()[w.pc]
 	switch in.Kind {

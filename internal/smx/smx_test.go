@@ -33,6 +33,10 @@ func (r *recorder) Launch(smxID int, b *Block, child *isa.Kernel, now uint64, re
 	return true
 }
 
+// LaunchBlocked never reports the gate closed: the recorder's refusals are
+// counted per Launch call, so only the dense retry path may decide them.
+func (r *recorder) LaunchBlocked() bool { return false }
+
 func (r *recorder) BlockDone(smxID int, b *Block, now uint64) {
 	r.done = append(r.done, b)
 	r.doneAt = append(r.doneAt, now)
@@ -501,6 +505,75 @@ func TestLaunchBackpressureStallsWarp(t *testing.T) {
 	}
 	if len(rec.done) != 1 {
 		t.Error("block never retired after stalled launch")
+	}
+}
+
+// gateEvents refuses every launch before cycle open and reports the launch
+// gate closed exactly then; at is the cycle being ticked.
+type gateEvents struct {
+	at, open uint64
+	calls    int
+	launches int
+}
+
+func (g *gateEvents) Launch(_ int, _ *Block, _ *isa.Kernel, now uint64, _ bool) bool {
+	g.calls++
+	if now < g.open {
+		return false
+	}
+	g.launches++
+	return true
+}
+func (g *gateEvents) LaunchBlocked() bool           { return g.at < g.open }
+func (g *gateEvents) BlockDone(int, *Block, uint64) {}
+
+// TestTickFFGatesLaunchRetries: under a closed launch gate TickFF decides
+// the stalled warps' retries without calling Launch, eliding the tick when
+// its horizon window covers the cycle, and ends with the same Stats as the
+// dense Tick, which calls Launch on every retry.
+func TestTickFFGatesLaunchRetries(t *testing.T) {
+	const open = 20
+	child := isa.NewKernel("child").Add(isa.NewTB(32).Compute(1).Build()).Build()
+	b := isa.NewTB(128)
+	for tid := 0; tid < 128; tid += 32 {
+		b.Launch(tid, child)
+	}
+	tb := b.Compute(3).Build()
+	run := func(ff bool) (Stats, *gateEvents) {
+		cfg := config.SmallTest()
+		ev := &gateEvents{open: open}
+		var seq uint64
+		s := New(0, &cfg, mem.NewSystem(&cfg), ev, GTO, &seq)
+		s.AddBlock(tb, nil, 0)
+		for now := uint64(0); !s.Idle(); now++ {
+			if now > 1000 {
+				t.Fatalf("ff=%v: SMX did not idle", ff)
+			}
+			ev.at = now
+			if ff {
+				s.TickFF(now)
+				s.NextEvent(now + 1)
+			} else {
+				s.Tick(now)
+			}
+		}
+		return s.Stats(), ev
+	}
+	dense, denseEv := run(false)
+	ff, ffEv := run(true)
+	if dense != ff {
+		t.Errorf("Stats diverge:\ndense: %+v\nff:    %+v", dense, ff)
+	}
+	if dense.LaunchStallEvents != 4*open {
+		t.Errorf("LaunchStallEvents = %d, want %d", dense.LaunchStallEvents, 4*open)
+	}
+	if denseEv.launches != 4 || ffEv.launches != 4 {
+		t.Errorf("accepted launches dense %d, ff %d; want 4", denseEv.launches, ffEv.launches)
+	}
+	// Dense: 4 refused launches a cycle until the gate opens, then 4
+	// accepted. Fast-forward: only the first attempts and the accepted ones.
+	if denseEv.calls != 4*open+4 || ffEv.calls != 8 {
+		t.Errorf("Launch calls dense %d, ff %d; want %d and 8", denseEv.calls, ffEv.calls, 4*open+4)
 	}
 }
 
