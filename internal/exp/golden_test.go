@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -168,5 +169,32 @@ func TestGoldenMatrixDenseClock(t *testing.T) {
 			t.Errorf("dense-clock cell %s/%s/%s diverges from golden:\n  want %+v\n  got  %+v",
 				want[i].Workload, want[i].Model, want[i].Scheduler, want[i], got[i])
 		}
+	}
+}
+
+func reportPath() string { return filepath.Join("testdata", "golden", "report_tiny.txt") }
+
+// TestGoldenReport pins the full RunAll report on the reduced tiny-scale
+// machine byte for byte, so every experiment's rendered numbers — not just
+// its section header — diff against a known-good file. Regenerate with
+// -update after an intentional behaviour change.
+func TestGoldenReport(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RunAll(fastOptions("amr", "join-uniform"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(reportPath(), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden file updated: %s", reportPath())
+		return
+	}
+	want, err := os.ReadFile(reportPath())
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test ./internal/exp/ -run Golden -update` to create it): %v", err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("RunAll report drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", reportPath(), got, want)
 	}
 }
