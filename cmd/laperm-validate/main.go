@@ -22,29 +22,29 @@ import (
 	"path/filepath"
 
 	"laperm/internal/config"
-	"laperm/internal/core"
 	"laperm/internal/exp"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
+	"laperm/internal/spec"
 	"laperm/internal/trace"
 )
 
 func main() {
-	scale := flag.String("scale", "tiny", "workload scale (tiny, small)")
+	scale := flag.String("scale", "tiny", "workload scale (tiny, small, medium)")
 	workers := flag.Int("workers", 0, "max workloads validated concurrently (0 = GOMAXPROCS)")
 	traceDir := flag.String("trace-dir", "", "dump JSONL event traces of failing cells into this directory")
 	flag.Parse()
 
+	sc, err := spec.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-
-	sc := kernels.ScaleTiny
-	if *scale == "small" {
-		sc = kernels.ScaleSmall
 	}
 
 	ws := kernels.All()
@@ -114,25 +114,15 @@ func validateWorkload(w kernels.Workload, sc kernels.Scale, traceDir string) (st
 
 	// Binding invariant under SMX-Bind.
 	violations := 0
-	sim, err := gpu.New(gpu.Options{
-		Config:    &cfg,
-		Scheduler: core.NewSMXBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels),
-		Model:     gpu.DTBL,
-		TraceDispatch: func(ki *gpu.KernelInstance, tbIndex, smxID int, cycle uint64) {
-			if ki.Parent != nil && cfg.ClusterOf(smxID) != cfg.ClusterOf(ki.BoundSMX) {
-				violations++
+	_, _, err := exp.RunCell(w, gpu.DTBL, "smx-bind", exp.Options{Scale: sc, Config: &cfg},
+		func(g *gpu.Options) {
+			g.TraceDispatch = func(ki *gpu.KernelInstance, tbIndex, smxID int, cycle uint64) {
+				if ki.Parent != nil && cfg.ClusterOf(smxID) != cfg.ClusterOf(ki.BoundSMX) {
+					violations++
+				}
 			}
-		},
-	})
+		})
 	if err != nil {
-		fmt.Fprintf(&buf, "FAIL %-14s smx-bind setup: %v\n", w.Name, err)
-		return buf.String(), false
-	}
-	if err := sim.LaunchHost(w.Build(sc)); err != nil {
-		fmt.Fprintf(&buf, "FAIL %-14s smx-bind launch: %v\n", w.Name, err)
-		return buf.String(), false
-	}
-	if _, err := sim.Run(); err != nil {
 		fmt.Fprintf(&buf, "FAIL %-14s smx-bind trace run: %v\n", w.Name, err)
 		ok = false
 	}

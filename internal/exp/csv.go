@@ -66,18 +66,17 @@ func WriteTimelineCSV(res *gpu.Result, w io.Writer) error {
 		if err := cw.Write(header); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
 		for _, s := range res.Timeline {
 			row := []string{
 				strconv.FormatUint(s.Cycle, 10),
-				f(s.IPC), f(s.L1), f(s.L2),
+				fixed6(s.IPC), fixed6(s.L1), fixed6(s.L2),
 				strconv.Itoa(s.ResidentTBs), strconv.Itoa(s.LiveKernels),
 				strconv.Itoa(s.PendingArrivals), strconv.Itoa(s.KMUQueued),
 				strconv.Itoa(s.KDUUsed), strconv.Itoa(s.AggEntries),
 				strconv.FormatUint(s.TBsDispatched, 10),
 				strconv.FormatInt(s.MemStalls, 10),
 				strconv.FormatInt(s.LaunchStalls, 10),
-				f(s.L1ParentChild),
+				fixed6(s.L1ParentChild),
 			}
 			for _, n := range s.SMXResident {
 				row = append(row, strconv.Itoa(n))
@@ -91,6 +90,31 @@ func WriteTimelineCSV(res *gpu.Result, w io.Writer) error {
 	})
 }
 
+// statColumns names the per-run statistic columns that WriteMatrixCSV and
+// WriteCellsCSV both emit after their key columns; statValues renders them.
+var statColumns = []string{
+	"cycles", "thread_insts", "ipc",
+	"l1_hit_rate", "l2_hit_rate", "dram_transactions",
+	"kernels", "dynamic_kernels", "blocks",
+	"avg_child_wait_cycles", "smx_load_imbalance",
+}
+
+// statValues renders one result's statColumns.
+func statValues(r *gpu.Result) []string {
+	return []string{
+		strconv.FormatUint(r.Cycles, 10),
+		strconv.FormatInt(r.ThreadInsts, 10),
+		fixed6(r.IPC),
+		fixed6(r.L1.HitRate()), fixed6(r.L2.HitRate()),
+		strconv.FormatInt(r.DRAMTransactions, 10),
+		strconv.Itoa(r.KernelCount), strconv.Itoa(r.DynamicKernelCount), strconv.Itoa(r.BlockCount),
+		fixed6(r.AvgChildWait), fixed6(r.LoadImbalance),
+	}
+}
+
+// fixed6 formats a float column with six decimals.
+func fixed6(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
+
 // WriteMatrixCSV emits the full evaluation matrix as machine-readable CSV:
 // one row per (workload, model, scheduler) cell with every statistic the
 // figures read, for downstream plotting. Output is buffered and written only
@@ -98,17 +122,10 @@ func WriteTimelineCSV(res *gpu.Result, w io.Writer) error {
 func WriteMatrixCSV(m *Matrix, w io.Writer) error {
 	return writeAtomic(w, func(w io.Writer) error {
 		cw := csv.NewWriter(w)
-		header := []string{
-			"workload", "app", "input", "model", "scheduler",
-			"cycles", "thread_insts", "ipc",
-			"l1_hit_rate", "l2_hit_rate", "dram_transactions",
-			"kernels", "dynamic_kernels", "blocks",
-			"avg_child_wait_cycles", "smx_load_imbalance",
-		}
+		header := append([]string{"workload", "app", "input", "model", "scheduler"}, statColumns...)
 		if err := cw.Write(header); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
 		for _, wk := range m.Workloads {
 			for _, model := range Models {
 				for _, sched := range SchedulerNames {
@@ -116,16 +133,7 @@ func WriteMatrixCSV(m *Matrix, w io.Writer) error {
 					if err != nil {
 						return err
 					}
-					row := []string{
-						wk.Name, wk.App, wk.Input, model.String(), sched,
-						strconv.FormatUint(r.Cycles, 10),
-						strconv.FormatInt(r.ThreadInsts, 10),
-						f(r.IPC),
-						f(r.L1.HitRate()), f(r.L2.HitRate()),
-						strconv.FormatInt(r.DRAMTransactions, 10),
-						strconv.Itoa(r.KernelCount), strconv.Itoa(r.DynamicKernelCount), strconv.Itoa(r.BlockCount),
-						f(r.AvgChildWait), f(r.LoadImbalance),
-					}
+					row := append([]string{wk.Name, wk.App, wk.Input, model.String(), sched}, statValues(r)...)
 					if err := cw.Write(row); err != nil {
 						return err
 					}
@@ -157,16 +165,10 @@ func WriteCellsCSV(axes []string, rows []CellRow, w io.Writer) error {
 	return writeAtomic(w, func(w io.Writer) error {
 		cw := csv.NewWriter(w)
 		header := append([]string{"run_id"}, axes...)
-		header = append(header,
-			"cycles", "thread_insts", "ipc",
-			"l1_hit_rate", "l2_hit_rate", "dram_transactions",
-			"kernels", "dynamic_kernels", "blocks",
-			"avg_child_wait_cycles", "smx_load_imbalance",
-		)
+		header = append(header, statColumns...)
 		if err := cw.Write(header); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
 		for _, row := range rows {
 			if len(row.Values) != len(axes) {
 				return fmt.Errorf("exp: cell %s has %d axis values, want %d", row.ID, len(row.Values), len(axes))
@@ -174,17 +176,8 @@ func WriteCellsCSV(axes []string, rows []CellRow, w io.Writer) error {
 			if row.Result == nil {
 				return fmt.Errorf("exp: cell %s has no result", row.ID)
 			}
-			r := row.Result
 			out := append([]string{row.ID}, row.Values...)
-			out = append(out,
-				strconv.FormatUint(r.Cycles, 10),
-				strconv.FormatInt(r.ThreadInsts, 10),
-				f(r.IPC),
-				f(r.L1.HitRate()), f(r.L2.HitRate()),
-				strconv.FormatInt(r.DRAMTransactions, 10),
-				strconv.Itoa(r.KernelCount), strconv.Itoa(r.DynamicKernelCount), strconv.Itoa(r.BlockCount),
-				f(r.AvgChildWait), f(r.LoadImbalance),
-			)
+			out = append(out, statValues(row.Result)...)
 			if err := cw.Write(out); err != nil {
 				return err
 			}

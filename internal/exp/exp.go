@@ -89,6 +89,15 @@ func (o Options) workloads() ([]kernels.Workload, error) {
 	return ws, nil
 }
 
+// workloadsOr resolves o's workloads, defaulting to names (a study's own
+// subset) when o selects none.
+func (o Options) workloadsOr(names ...string) ([]kernels.Workload, error) {
+	if len(o.Workloads) == 0 {
+		o.Workloads = names
+	}
+	return o.workloads()
+}
+
 // Experiment is one regenerable table or figure.
 type Experiment struct {
 	// ID is the flag value ("fig7") and Title the heading printed above
@@ -100,18 +109,22 @@ type Experiment struct {
 	Inferred bool
 	// Run executes the experiment and writes its table to w.
 	Run func(o Options, w io.Writer) error
+	// matrix, set on the figures that read the shared evaluation matrix,
+	// renders the figure from an already-swept matrix, so RunAll sweeps
+	// the matrix once for all of them.
+	matrix func(m *Matrix, w io.Writer) error
 }
 
 // All returns every experiment in presentation order.
 func All() []Experiment {
-	return []Experiment{
+	es := []Experiment{
 		{ID: "table1", Title: "Table I: GPGPU-Sim configuration parameters", Run: runTable1},
 		{ID: "table2", Title: "Table II: benchmarks used in the experimental evaluation", Run: runTable2},
 		{ID: "fig2", Title: "Figure 2: shared footprint ratio for parent-child and child-sibling TBs", Run: runFig2},
-		{ID: "fig7", Title: "Figure 7: L2 cache hit rate", Run: runFig7},
-		{ID: "fig8", Title: "Figure 8: L1 cache hit rate", Run: runFig8},
-		{ID: "fig9a", Title: "Figure 9(a): IPC normalized to CDP with RR scheduler", Run: runFig9a},
-		{ID: "fig9b", Title: "Figure 9(b): IPC normalized to DTBL with RR scheduler", Run: runFig9b},
+		{ID: "fig7", Title: "Figure 7: L2 cache hit rate", matrix: Fig7From},
+		{ID: "fig8", Title: "Figure 8: L1 cache hit rate", matrix: Fig8From},
+		{ID: "fig9a", Title: "Figure 9(a): IPC normalized to CDP with RR scheduler", matrix: fig9(gpu.CDP)},
+		{ID: "fig9b", Title: "Figure 9(b): IPC normalized to DTBL with RR scheduler", matrix: fig9(gpu.DTBL)},
 		{ID: "latency", Title: "Launch-latency sensitivity of LaPerm (Section IV-D)", Inferred: true, Run: runLatency},
 		{ID: "balance", Title: "SMX load balance: SMX-Bind vs Adaptive-Bind (Section IV-C)", Inferred: true, Run: runBalance},
 		{ID: "levels", Title: "Priority-level ablation: clamping level L (Section IV-A)", Inferred: true, Run: runLevels},
@@ -120,6 +133,18 @@ func All() []Experiment {
 		{ID: "throttle", Title: "Contention-aware TB residency caps on Adaptive-Bind (Section IV-F)", Inferred: true, Run: runThrottle},
 		{ID: "backup", Title: "Sticky-backup ablation for Adaptive-Bind stage 3 (Figure 6)", Inferred: true, Run: runBackup},
 	}
+	for i, e := range es {
+		if e.matrix != nil {
+			es[i].Run = func(o Options, w io.Writer) error {
+				m, err := RunMatrix(o)
+				if err != nil {
+					return err
+				}
+				return e.matrix(m, w)
+			}
+		}
+	}
+	return es
 }
 
 // ByID returns the experiment with the given ID.

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -297,5 +298,34 @@ func TestRunAllSmoke(t *testing.T) {
 		if !strings.Contains(out, "=== "+e.ID+":") {
 			t.Errorf("RunAll output missing section %q", e.ID)
 		}
+	}
+}
+
+// TestExperimentsHonourCallerOptions runs every simulating experiment on
+// its own with a Meter and a Progress callback. Each must run its cells
+// with the caller's Options on the caller's pool, so the meter counts
+// simulated cycles and Progress observes completed cells.
+func TestExperimentsHonourCallerOptions(t *testing.T) {
+	for _, e := range All() {
+		switch e.ID {
+		case "table1", "table2", "fig2":
+			continue // no timing simulation
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			o := fastOptions("amr")
+			o.Workers = 2
+			o.Meter = NewMeter()
+			calls := 0
+			o.Progress = func(Progress) { calls++ }
+			if err := e.Run(o, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if o.Meter.Cycles() == 0 {
+				t.Error("meter counted no simulated cycles")
+			}
+			if calls == 0 {
+				t.Error("Progress was never called")
+			}
+		})
 	}
 }

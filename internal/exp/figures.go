@@ -116,27 +116,9 @@ func hitRateTable(m *Matrix, level string, pick func(*gpu.Result) float64, w io.
 	return t.write(w)
 }
 
-// runFig7 prints the L2 hit-rate matrix (Figure 7).
-func runFig7(o Options, w io.Writer) error {
-	m, err := RunMatrix(o)
-	if err != nil {
-		return err
-	}
-	return Fig7From(m, w)
-}
-
 // Fig7From renders Figure 7 from an existing matrix.
 func Fig7From(m *Matrix, w io.Writer) error {
 	return hitRateTable(m, "L2", func(r *gpu.Result) float64 { return r.L2.HitRate() }, w)
-}
-
-// runFig8 prints the L1 hit-rate matrix (Figure 8).
-func runFig8(o Options, w io.Writer) error {
-	m, err := RunMatrix(o)
-	if err != nil {
-		return err
-	}
-	return Fig8From(m, w)
 }
 
 // Fig8From renders Figure 8 from an existing matrix.
@@ -144,22 +126,9 @@ func Fig8From(m *Matrix, w io.Writer) error {
 	return hitRateTable(m, "L1", func(r *gpu.Result) float64 { return r.L1.HitRate() }, w)
 }
 
-// runFig9a prints IPC normalised to CDP+RR (Figure 9(a)).
-func runFig9a(o Options, w io.Writer) error {
-	m, err := RunMatrix(Options{Scale: o.Scale, Workloads: o.Workloads, Config: o.Config})
-	if err != nil {
-		return err
-	}
-	return Fig9From(m, gpu.CDP, w)
-}
-
-// runFig9b prints IPC normalised to DTBL+RR (Figure 9(b)).
-func runFig9b(o Options, w io.Writer) error {
-	m, err := RunMatrix(o)
-	if err != nil {
-		return err
-	}
-	return Fig9From(m, gpu.DTBL, w)
+// fig9 renders the Figure 9 panel for one launch model.
+func fig9(model gpu.Model) func(*Matrix, io.Writer) error {
+	return func(m *Matrix, w io.Writer) error { return Fig9From(m, model, w) }
 }
 
 // Fig9From renders a Figure 9 panel (normalised IPC under one model) from

@@ -24,30 +24,11 @@ type ReuseMatrix struct {
 // reuse attribution enabled, fanning cells over the Options' pool.
 func RunReuse(o Options, model gpu.Model) (*ReuseMatrix, error) {
 	o.Attribution = true
-	ws, err := o.workloads()
+	ws, results, err := runGrid(o, []gpu.Model{model})
 	if err != nil {
 		return nil, err
 	}
-	var cells []Cell
-	byName := make(map[string]kernels.Workload, len(ws))
-	for _, w := range ws {
-		byName[w.Name] = w
-		for _, sched := range SchedulerNames {
-			cells = append(cells, Cell{w.Name, model, sched})
-		}
-	}
-	results, err := sweep(o, len(cells), func(i int) (*gpu.Result, error) {
-		c := cells[i]
-		return RunOne(byName[c.Workload], c.Model, c.Sched, o)
-	})
-	if err != nil {
-		return nil, err
-	}
-	m := &ReuseMatrix{Model: model, Workloads: ws, Results: make(map[Cell]*gpu.Result, len(cells))}
-	for i, c := range cells {
-		m.Results[c] = results[i]
-	}
-	return m, nil
+	return &ReuseMatrix{Model: model, Workloads: ws, Results: results}, nil
 }
 
 // lookup returns one cell's result, erroring on a missing cell.
@@ -59,43 +40,54 @@ func (m *ReuseMatrix) lookup(workload, sched string) (*gpu.Result, error) {
 	return r, nil
 }
 
+// reuseColumns names the per-level reuse columns that WriteReuseCSV and
+// WriteRunReuseCSV both emit; reuseRows renders them.
+var reuseColumns = []string{
+	"level", "self", "parent_child", "sibling", "cross", "classified_hits",
+	"self_share", "parent_child_share", "sibling_share", "cross_share",
+}
+
+// reuseRows renders one result's reuseColumns: an l1 row, then an l2 row.
+func reuseRows(r *gpu.Result) [][]string {
+	var rows [][]string
+	for _, lvl := range []struct {
+		name string
+		rs   mem.ReuseStats
+	}{{"l1", r.L1Reuse}, {"l2", r.L2Reuse}} {
+		rows = append(rows, []string{
+			lvl.name,
+			strconv.FormatInt(lvl.rs.Self, 10),
+			strconv.FormatInt(lvl.rs.ParentChild, 10),
+			strconv.FormatInt(lvl.rs.Sibling, 10),
+			strconv.FormatInt(lvl.rs.Cross, 10),
+			strconv.FormatInt(lvl.rs.Total(), 10),
+			fixed6(lvl.rs.Share(mem.ReuseSelf)),
+			fixed6(lvl.rs.Share(mem.ReuseParentChild)),
+			fixed6(lvl.rs.Share(mem.ReuseSibling)),
+			fixed6(lvl.rs.Share(mem.ReuseCross)),
+		})
+	}
+	return rows
+}
+
 // WriteReuseCSV emits the reuse breakdown as CSV: one row per (workload,
 // scheduler, cache level) with raw class counts and shares. As with the
 // other emitters, w receives the complete file or nothing.
 func WriteReuseCSV(m *ReuseMatrix, w io.Writer) error {
 	return writeAtomic(w, func(w io.Writer) error {
 		cw := csv.NewWriter(w)
-		header := []string{
-			"workload", "app", "input", "model", "scheduler", "level",
-			"self", "parent_child", "sibling", "cross", "classified_hits",
-			"self_share", "parent_child_share", "sibling_share", "cross_share",
-		}
+		header := append([]string{"workload", "app", "input", "model", "scheduler"}, reuseColumns...)
 		if err := cw.Write(header); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
 		for _, wk := range m.Workloads {
 			for _, sched := range SchedulerNames {
 				r, err := m.lookup(wk.Name, sched)
 				if err != nil {
 					return err
 				}
-				for _, lvl := range []struct {
-					name string
-					rs   mem.ReuseStats
-				}{{"l1", r.L1Reuse}, {"l2", r.L2Reuse}} {
-					row := []string{
-						wk.Name, wk.App, wk.Input, m.Model.String(), sched, lvl.name,
-						strconv.FormatInt(lvl.rs.Self, 10),
-						strconv.FormatInt(lvl.rs.ParentChild, 10),
-						strconv.FormatInt(lvl.rs.Sibling, 10),
-						strconv.FormatInt(lvl.rs.Cross, 10),
-						strconv.FormatInt(lvl.rs.Total(), 10),
-						f(lvl.rs.Share(mem.ReuseSelf)),
-						f(lvl.rs.Share(mem.ReuseParentChild)),
-						f(lvl.rs.Share(mem.ReuseSibling)),
-						f(lvl.rs.Share(mem.ReuseCross)),
-					}
+				for _, lvl := range reuseRows(r) {
+					row := append([]string{wk.Name, wk.App, wk.Input, m.Model.String(), sched}, lvl...)
 					if err := cw.Write(row); err != nil {
 						return err
 					}
@@ -115,36 +107,10 @@ func WriteReuseCSV(m *ReuseMatrix, w io.Writer) error {
 func WriteRunReuseCSV(res *gpu.Result, w io.Writer) error {
 	return writeAtomic(w, func(w io.Writer) error {
 		cw := csv.NewWriter(w)
-		header := []string{
-			"level", "self", "parent_child", "sibling", "cross", "classified_hits",
-			"self_share", "parent_child_share", "sibling_share", "cross_share",
-		}
-		if err := cw.Write(header); err != nil {
+		if err := cw.Write(reuseColumns); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
-		for _, lvl := range []struct {
-			name string
-			rs   mem.ReuseStats
-		}{{"l1", res.L1Reuse}, {"l2", res.L2Reuse}} {
-			row := []string{
-				lvl.name,
-				strconv.FormatInt(lvl.rs.Self, 10),
-				strconv.FormatInt(lvl.rs.ParentChild, 10),
-				strconv.FormatInt(lvl.rs.Sibling, 10),
-				strconv.FormatInt(lvl.rs.Cross, 10),
-				strconv.FormatInt(lvl.rs.Total(), 10),
-				f(lvl.rs.Share(mem.ReuseSelf)),
-				f(lvl.rs.Share(mem.ReuseParentChild)),
-				f(lvl.rs.Share(mem.ReuseSibling)),
-				f(lvl.rs.Share(mem.ReuseCross)),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
+		return cw.WriteAll(reuseRows(res))
 	})
 }
 

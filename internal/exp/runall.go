@@ -3,77 +3,40 @@ package exp
 import (
 	"fmt"
 	"io"
-
-	"laperm/internal/gpu"
 )
 
-// RunAll executes every experiment, sharing a single workload x model x
-// scheduler sweep across Figures 7, 8, 9(a) and 9(b) instead of re-running
-// the matrix per figure. Simulation cells fan out over o.Workers pool
-// goroutines; the report text is identical for every worker count. Output
-// is buffered and written to w only when every experiment succeeds, so an
-// error mid-matrix never emits a truncated report.
+// RunAll executes every experiment in All() order, sharing a single
+// workload x model x scheduler sweep across the figures that render from
+// the evaluation matrix instead of re-running it per figure. Simulation
+// cells fan out over o.Workers pool goroutines; the report text is
+// identical for every worker count. Output is buffered and written to w
+// only when every experiment succeeds, so an error mid-matrix never emits a
+// truncated report.
 func RunAll(o Options, w io.Writer) error {
-	return writeAtomic(w, func(w io.Writer) error { return runAll(o, w) })
-}
-
-func runAll(o Options, w io.Writer) error {
-	section := func(e Experiment) {
-		fmt.Fprintf(w, "=== %s: %s", e.ID, e.Title)
-		if e.Inferred {
-			fmt.Fprint(w, " [inferred from the paper's text]")
+	return writeAtomic(w, func(w io.Writer) error {
+		var m *Matrix // swept by the first experiment that renders from it
+		for _, e := range All() {
+			fmt.Fprintf(w, "=== %s: %s", e.ID, e.Title)
+			if e.Inferred {
+				fmt.Fprint(w, " [inferred from the paper's text]")
+			}
+			fmt.Fprintln(w, " ===")
+			var err error
+			if e.matrix != nil && m == nil {
+				if m, err = RunMatrix(o); err != nil {
+					return err
+				}
+			}
+			if e.matrix != nil {
+				err = e.matrix(m, w)
+			} else {
+				err = e.Run(o, w)
+			}
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w, " ===")
-	}
-	byID := make(map[string]Experiment)
-	for _, e := range All() {
-		byID[e.ID] = e
-	}
-
-	// Cheap, matrix-free experiments first.
-	for _, id := range []string{"table1", "table2", "fig2"} {
-		e := byID[id]
-		section(e)
-		if err := e.Run(o, w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-
-	// One shared sweep for the hit-rate and IPC figures.
-	m, err := RunMatrix(o)
-	if err != nil {
-		return err
-	}
-	section(byID["fig7"])
-	if err := Fig7From(m, w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	section(byID["fig8"])
-	if err := Fig8From(m, w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	section(byID["fig9a"])
-	if err := Fig9From(m, gpu.CDP, w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	section(byID["fig9b"])
-	if err := Fig9From(m, gpu.DTBL, w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-
-	// Sensitivity studies and ablations.
-	for _, id := range []string{"latency", "balance", "levels", "clusters", "warp", "throttle", "backup"} {
-		e := byID[id]
-		section(e)
-		if err := e.Run(o, w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+		return nil
+	})
 }

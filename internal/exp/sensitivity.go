@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"laperm/internal/config"
 	"laperm/internal/core"
 	"laperm/internal/gpu"
-	"laperm/internal/kernels"
-	"laperm/internal/metrics"
 	"laperm/internal/smx"
 )
 
@@ -15,63 +14,35 @@ import (
 // launch-latency sensitivity study of Section IV-D.
 var LatencySweepPoints = []int{10, 100, 500, 1000, 2500, 5000, 10000, 20000}
 
-// resolveWorkloads maps names to workloads, erroring on the first unknown
-// name (in input order, matching the serial runners).
-func resolveWorkloads(names []string) ([]kernels.Workload, error) {
-	wks := make([]kernels.Workload, len(names))
-	for i, name := range names {
-		wk, ok := kernels.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown workload %q", name)
-		}
-		wks[i] = wk
-	}
-	return wks, nil
-}
-
 // runLatency reproduces the Section IV-D analysis: LaPerm's benefit over RR
 // as a function of child launch latency. The longer the launch path, the
 // wider the parent-child time gap and the less temporal locality survives.
-// Each (latency, workload) cell runs independently on the pool.
 func runLatency(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "sssp-cage15", "join-uniform"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloadsOr("bfs-citation", "sssp-cage15", "join-uniform")
 	if err != nil {
 		return err
 	}
-	type cell struct{ li, wi int }
-	var cells []cell
-	for li := range LatencySweepPoints {
-		for wi := range wks {
-			cells = append(cells, cell{li, wi})
+	var cells []simCell
+	for _, lat := range LatencySweepPoints {
+		co := o.withConfig(func(g *config.GPU) { g.DTBLLaunchLatency = lat })
+		for _, wk := range wks {
+			cells = dtblCells(cells, wk, co, "rr", "adaptive-bind")
 		}
 	}
-	ratios, err := sweep(o, len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		cfg := o.config()
-		cfg.DTBLLaunchLatency = LatencySweepPoints[c.li]
-		opt := Options{Scale: o.Scale, Config: cfg}
-		base, err := RunOne(wks[c.wi], gpu.DTBL, "rr", opt)
-		if err != nil {
-			return 0, err
-		}
-		lap, err := RunOne(wks[c.wi], gpu.DTBL, "adaptive-bind", opt)
-		if err != nil {
-			return 0, err
-		}
-		return lap.IPC / base.IPC, nil
-	})
+	results, err := runCells(o, cells)
 	if err != nil {
 		return err
 	}
-	t := newTable(append([]string{"latency (cycles)"}, names...)...)
+	header := []string{"latency (cycles)"}
+	for _, wk := range wks {
+		header = append(header, wk.Name)
+	}
+	t := newTable(header...)
 	for li, lat := range LatencySweepPoints {
 		row := []string{fmt.Sprintf("%d", lat)}
 		for wi := range wks {
-			row = append(row, norm(ratios[li*len(wks)+wi]))
+			k := 2 * (li*len(wks) + wi)
+			row = append(row, norm(results[k+1].IPC/results[k].IPC))
 		}
 		t.row(row...)
 	}
@@ -83,25 +54,22 @@ func runLatency(o Options, w io.Writer) error {
 // imbalanced launch patterns, reporting SMX busy-cycle imbalance, stage-3
 // steal share, and the resulting speedups (the Section IV-C trade-off).
 func runBalance(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"amr", "join-gaussian", "regx-darpa", "bfs-graph5"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloadsOr("amr", "join-gaussian", "regx-darpa", "bfs-graph5")
 	if err != nil {
 		return err
 	}
-	scheds := []string{"rr", "smx-bind", "adaptive-bind"}
-	results, err := sweep(o, len(wks)*len(scheds), func(i int) (*gpu.Result, error) {
-		return RunOne(wks[i/len(scheds)], gpu.DTBL, scheds[i%len(scheds)], o)
-	})
+	var cells []simCell
+	for _, wk := range wks {
+		cells = dtblCells(cells, wk, o, "rr", "smx-bind", "adaptive-bind")
+	}
+	results, err := runCells(o, cells)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "imbalance rr", "imbalance smx-bind", "imbalance adaptive", "ipc smx-bind/rr", "ipc adaptive/rr")
-	for wi, name := range names {
+	for wi, wk := range wks {
 		rr, sb, ab := results[wi*3], results[wi*3+1], results[wi*3+2]
-		t.row(name,
+		t.row(wk.Name,
 			norm(rr.LoadImbalance), norm(sb.LoadImbalance), norm(ab.LoadImbalance),
 			norm(sb.IPC/rr.IPC), norm(ab.IPC/rr.IPC))
 	}
@@ -114,13 +82,12 @@ func runBalance(o Options, w io.Writer) error {
 // lets deeper descendants pre-empt earlier generations.
 func runLevels(o Options, w io.Writer) error {
 	levels := []int{1, 2, 4, 8}
-	scheds := []string{"rr", "tb-pri", "adaptive-bind"}
-	results, err := sweep(o, len(levels)*len(scheds), func(i int) (*gpu.Result, error) {
-		cfg := o.config()
-		cfg.MaxPriorityLevels = levels[i/len(scheds)]
-		opt := Options{Scale: o.Scale, Config: cfg}
-		return RunOne(NestedWorkload(), gpu.DTBL, scheds[i%len(scheds)], opt)
-	})
+	var cells []simCell
+	for _, l := range levels {
+		co := o.withConfig(func(g *config.GPU) { g.MaxPriorityLevels = l })
+		cells = dtblCells(cells, NestedWorkload(), co, "rr", "tb-pri", "adaptive-bind")
+	}
+	results, err := runCells(o, cells)
 	if err != nil {
 		return err
 	}
@@ -139,32 +106,31 @@ func runLevels(o Options, w io.Writer) error {
 // shared by pairs, or shared by quads of SMXs, comparing Adaptive-Bind's
 // gain over RR and the L1 hit rates.
 func runClusters(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "bht", "amr"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloadsOr("bfs-citation", "bht", "amr")
 	if err != nil {
 		return err
 	}
 	sizes := []int{1, 2, 4}
-	scheds := []string{"rr", "adaptive-bind"}
-	results, err := sweep(o, len(wks)*len(sizes)*len(scheds), func(i int) (*gpu.Result, error) {
-		cfg := o.config()
-		cfg.NumSMX = 12 // divisible by every swept cluster size
-		cfg.SMXsPerCluster = sizes[(i/len(scheds))%len(sizes)]
-		opt := Options{Scale: o.Scale, Config: cfg}
-		return RunOne(wks[i/(len(sizes)*len(scheds))], gpu.DTBL, scheds[i%len(scheds)], opt)
-	})
+	var cells []simCell
+	for _, wk := range wks {
+		for _, size := range sizes {
+			co := o.withConfig(func(g *config.GPU) {
+				g.NumSMX = 12 // divisible by every swept cluster size
+				g.SMXsPerCluster = size
+			})
+			cells = dtblCells(cells, wk, co, "rr", "adaptive-bind")
+		}
+	}
+	results, err := runCells(o, cells)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "cluster size", "ipc adaptive/rr", "l1 rr", "l1 adaptive")
-	for wi, name := range names {
+	for wi, wk := range wks {
 		for si, size := range sizes {
 			rr := results[(wi*len(sizes)+si)*2]
 			ab := results[(wi*len(sizes)+si)*2+1]
-			t.row(name, fmt.Sprintf("%d", size), norm(ab.IPC/rr.IPC),
+			t.row(wk.Name, fmt.Sprintf("%d", size), norm(ab.IPC/rr.IPC),
 				pct(rr.L1.HitRate()), pct(ab.L1.HitRate()))
 		}
 	}
@@ -176,35 +142,29 @@ func runClusters(o Options, w io.Writer) error {
 // warp scheduling discipline: Adaptive-Bind's gain over RR under
 // Greedy-Then-Oldest and under loose round-robin warp scheduling.
 func runWarp(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "join-gaussian", "bht"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloadsOr("bfs-citation", "join-gaussian", "bht")
 	if err != nil {
 		return err
 	}
 	policies := []smx.Policy{smx.GTO, smx.LRR, smx.TwoLevel}
-	ratios, err := sweep(o, len(wks)*len(policies), func(i int) (float64, error) {
-		opt := Options{Scale: o.Scale, Config: o.Config, WarpPolicy: policies[i%len(policies)]}
-		rr, err := RunOne(wks[i/len(policies)], gpu.DTBL, "rr", opt)
-		if err != nil {
-			return 0, err
+	var cells []simCell
+	for _, wk := range wks {
+		for _, p := range policies {
+			co := o
+			co.WarpPolicy = p
+			cells = dtblCells(cells, wk, co, "rr", "adaptive-bind")
 		}
-		ab, err := RunOne(wks[i/len(policies)], gpu.DTBL, "adaptive-bind", opt)
-		if err != nil {
-			return 0, err
-		}
-		return ab.IPC / rr.IPC, nil
-	})
+	}
+	results, err := runCells(o, cells)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "ipc adaptive/rr (gto)", "ipc adaptive/rr (lrr)", "ipc adaptive/rr (two-level)")
-	for wi, name := range names {
-		row := []string{name}
+	for wi, wk := range wks {
+		row := []string{wk.Name}
 		for pi := range policies {
-			row = append(row, norm(ratios[wi*len(policies)+pi]))
+			k := 2 * (wi*len(policies) + pi)
+			row = append(row, norm(results[k+1].IPC/results[k].IPC))
 		}
 		t.row(row...)
 	}
@@ -216,42 +176,28 @@ func runWarp(o Options, w io.Writer) error {
 // Adaptive-Bind: fewer resident TBs per SMX leave more L1 per block (better
 // parent-child reuse) at a parallelism cost.
 func runThrottle(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "bht"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloadsOr("bfs-citation", "bht")
 	if err != nil {
 		return err
 	}
 	caps := []int{16, 12, 8, 4}
-	results, err := sweep(o, len(wks)*len(caps), func(i int) (*gpu.Result, error) {
-		cfg := o.config()
-		inner, err := NewScheduler("adaptive-bind", cfg)
-		if err != nil {
-			return nil, err
+	var cells []simCell
+	for _, wk := range wks {
+		for _, c := range caps {
+			cells = append(cells, simCell{w: wk, model: gpu.DTBL, sched: "adaptive-bind", o: o,
+				customize: func(g *gpu.Options) { g.Scheduler = core.NewThrottled(g.Scheduler, c) }})
 		}
-		sched := core.NewThrottled(inner, caps[i%len(caps)])
-		sim, err := gpu.New(gpu.Options{Config: cfg, Scheduler: sched, Model: gpu.DTBL, DenseClock: o.DenseClock})
-		if err != nil {
-			return nil, err
-		}
-		if err := sim.LaunchHost(wks[i/len(caps)].Build(o.Scale)); err != nil {
-			return nil, err
-		}
-		res, err := sim.Run()
-		o.meterResult(res)
-		return res, err
-	})
+	}
+	results, err := runCells(o, cells)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "cap", "ipc vs uncapped", "l1 hit")
-	for wi, name := range names {
+	for wi, wk := range wks {
 		base := results[wi*len(caps)].IPC // cap 16 is the uncapped baseline
 		for ci, c := range caps {
 			res := results[wi*len(caps)+ci]
-			t.row(name, fmt.Sprintf("%d", c), norm(res.IPC/base), pct(res.L1.HitRate()))
+			t.row(wk.Name, fmt.Sprintf("%d", c), norm(res.IPC/base), pct(res.L1.HitRate()))
 		}
 	}
 	fmt.Fprintln(w, "Adaptive-Bind with contention-aware TB residency caps (DTBL)")
@@ -262,50 +208,36 @@ func runThrottle(o Options, w io.Writer) error {
 // per SMX and drains it; the ablation re-scans every slot. The paper argues
 // stickiness preserves stolen-sibling locality.
 func runBackup(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "join-gaussian", "amr"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloadsOr("bfs-citation", "join-gaussian", "amr")
 	if err != nil {
 		return err
 	}
-	// Variants per workload: the RR baseline, sticky backup, free backup.
-	type variantResult struct {
-		res    *gpu.Result
-		steals int64
+	// Cells per workload: the RR baseline, sticky backup, free backup. The
+	// variants flag the registry's Adaptive-Bind and keep it (each cell
+	// writes its own index) so its steal count can be read afterwards.
+	binds := make([]*core.AdaptiveBind, 3*len(wks))
+	var cells []simCell
+	for _, wk := range wks {
+		cells = dtblCells(cells, wk, o, "rr")
+		for _, free := range []bool{false, true} {
+			i := len(cells)
+			cells = append(cells, simCell{w: wk, model: gpu.DTBL, sched: "adaptive-bind", o: o,
+				customize: func(g *gpu.Options) {
+					binds[i] = g.Scheduler.(*core.AdaptiveBind)
+					binds[i].FreeBackup = free
+				}})
+		}
 	}
-	results, err := sweep(o, len(wks)*3, func(i int) (variantResult, error) {
-		wk, variant := wks[i/3], i%3
-		if variant == 0 {
-			res, err := RunOne(wk, gpu.DTBL, "rr", o)
-			return variantResult{res: res}, err
-		}
-		cfg := o.config()
-		ab := core.NewAdaptiveBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels)
-		ab.FreeBackup = variant == 2
-		sim, err := gpu.New(gpu.Options{Config: cfg, Scheduler: ab, Model: gpu.DTBL, DenseClock: o.DenseClock})
-		if err != nil {
-			return variantResult{}, err
-		}
-		if err := sim.LaunchHost(wk.Build(o.Scale)); err != nil {
-			return variantResult{}, err
-		}
-		res, err := sim.Run()
-		o.meterResult(res)
-		return variantResult{res: res, steals: ab.Steals}, err
-	})
+	results, err := runCells(o, cells)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "ipc sticky/rr", "ipc free/rr", "steals sticky", "steals free")
-	for wi, name := range names {
+	for wi, wk := range wks {
 		rr, sticky, free := results[wi*3], results[wi*3+1], results[wi*3+2]
-		t.row(name, norm(sticky.res.IPC/rr.res.IPC), norm(free.res.IPC/rr.res.IPC),
-			fmt.Sprintf("%d", sticky.steals), fmt.Sprintf("%d", free.steals))
+		t.row(wk.Name, norm(sticky.IPC/rr.IPC), norm(free.IPC/rr.IPC),
+			fmt.Sprintf("%d", binds[wi*3+1].Steals), fmt.Sprintf("%d", binds[wi*3+2].Steals))
 	}
 	fmt.Fprintln(w, "Adaptive-Bind stage-3 backup policy ablation (DTBL)")
 	return t.write(w)
 }
-
-var _ = metrics.Mean // metrics is used by figures.go in this package

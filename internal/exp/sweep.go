@@ -72,6 +72,47 @@ func (o Options) meterResult(r *gpu.Result) {
 	r.WallTime, r.SimCyclesPerSec = 0, 0
 }
 
+// simCell is one simulation of a figure or study: a workload under one
+// launch model and scheduler. o is the caller's Options with at most one
+// per-cell override (a configuration copy or a warp policy); customize,
+// when non-nil, edits the assembled gpu.Options as in RunCell.
+type simCell struct {
+	w         kernels.Workload
+	model     gpu.Model
+	sched     string
+	o         Options
+	customize func(*gpu.Options)
+}
+
+// runCells is the one in-process cell path: it runs every cell through
+// RunCell in a single sweep over the caller's pool and returns the results
+// in cell order, so studies render output identical to a serial loop for
+// every worker count.
+func runCells(o Options, cells []simCell) ([]*gpu.Result, error) {
+	return sweep(o, len(cells), func(i int) (*gpu.Result, error) {
+		c := cells[i]
+		res, _, err := RunCell(c.w, c.model, c.sched, c.o, c.customize)
+		return res, err
+	})
+}
+
+// dtblCells appends one DTBL cell per scheduler for workload wk under o.
+func dtblCells(cells []simCell, wk kernels.Workload, o Options, scheds ...string) []simCell {
+	for _, sched := range scheds {
+		cells = append(cells, simCell{w: wk, model: gpu.DTBL, sched: sched, o: o})
+	}
+	return cells
+}
+
+// withConfig returns o running on a private copy of its configuration
+// edited by edit: a study's per-cell machine override.
+func (o Options) withConfig(edit func(*config.GPU)) Options {
+	cfg := o.config()
+	edit(cfg)
+	o.Config = cfg
+	return o
+}
+
 // Cell identifies one run of the full evaluation matrix.
 type Cell struct {
 	Workload string
@@ -92,32 +133,38 @@ type Matrix struct {
 // configuration copy, scheduler, and simulator, so the results — and any
 // error — are identical to a serial sweep regardless of worker count.
 func RunMatrix(o Options) (*Matrix, error) {
-	ws, err := o.workloads()
+	ws, results, err := runGrid(o, Models)
 	if err != nil {
 		return nil, err
 	}
-	var cells []Cell
-	byName := make(map[string]kernels.Workload, len(ws))
+	return &Matrix{Workloads: ws, Results: results}, nil
+}
+
+// runGrid runs every workload x model x scheduler cell of o's workloads
+// under the given models, in presentation order: the one expansion
+// RunMatrix and RunReuse share.
+func runGrid(o Options, models []gpu.Model) ([]kernels.Workload, map[Cell]*gpu.Result, error) {
+	ws, err := o.workloads()
+	if err != nil {
+		return nil, nil, err
+	}
+	var cells []simCell
 	for _, w := range ws {
-		byName[w.Name] = w
-		for _, model := range Models {
+		for _, model := range models {
 			for _, sched := range SchedulerNames {
-				cells = append(cells, Cell{w.Name, model, sched})
+				cells = append(cells, simCell{w: w, model: model, sched: sched, o: o})
 			}
 		}
 	}
-	results, err := sweep(o, len(cells), func(i int) (*gpu.Result, error) {
-		c := cells[i]
-		return RunOne(byName[c.Workload], c.Model, c.Sched, o)
-	})
+	results, err := runCells(o, cells)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	m := &Matrix{Workloads: ws, Results: make(map[Cell]*gpu.Result, len(cells))}
+	byCell := make(map[Cell]*gpu.Result, len(cells))
 	for i, c := range cells {
-		m.Results[c] = results[i]
+		byCell[Cell{c.w.Name, c.model, c.sched}] = results[i]
 	}
-	return m, nil
+	return ws, byCell, nil
 }
 
 // Get returns the result for one cell, panicking on a missing cell (a
