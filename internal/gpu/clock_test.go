@@ -65,9 +65,10 @@ func clockRun(t *testing.T, dense bool, model gpu.Model, cfg config.GPU,
 }
 
 // diffClocks runs the same cell under both clockings and fails unless the
-// Results and the full trace-event streams are identical.
+// Results and the full trace-event streams are identical. It returns the
+// dense Result for callers that check what the cell exercised.
 func diffClocks(t *testing.T, model gpu.Model, cfg config.GPU,
-	newSched func() gpu.TBScheduler, k *isa.Kernel) {
+	newSched func() gpu.TBScheduler, k *isa.Kernel) *gpu.Result {
 	t.Helper()
 	dense, denseLog, denseErr := clockRun(t, true, model, cfg, newSched(), k)
 	ff, ffLog, ffErr := clockRun(t, false, model, cfg, newSched(), k)
@@ -88,6 +89,7 @@ func diffClocks(t *testing.T, model gpu.Model, cfg config.GPU,
 			}
 		}
 	}
+	return dense
 }
 
 // TestClockEquivalenceMatrix is the core differential guarantee: for every
@@ -101,6 +103,36 @@ func TestClockEquivalenceMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%s", model, name), func(t *testing.T) {
 				diffClocks(t, model, cfg, mk, launchingKernel(6, 3))
 			})
+		}
+	}
+}
+
+// TestClockEquivalenceClusteredL1 runs the matrix on machines whose SMXs
+// share one L1 and MSHR table per cluster of 2 and of 4, with a 2-entry
+// table, so sibling SMXs stall on and add to the same table. The stall
+// wakes rest on a free slot waking every SMX on its table; a wake computed
+// per SMX that missed a sibling's add or release would show here as a
+// divergence in the per-SMX stall counts or the trace.
+func TestClockEquivalenceClusteredL1(t *testing.T) {
+	for _, perCluster := range []int{2, 4} {
+		cfg := config.SmallTest()
+		cfg.SMXsPerCluster = perCluster
+		cfg.L1MSHRs = 2
+		for _, model := range gpu.Models() {
+			for name, mk := range clockSchedulers(&cfg) {
+				t.Run(fmt.Sprintf("cluster%d/%v/%s", perCluster, model, name), func(t *testing.T) {
+					res := diffClocks(t, model, cfg, mk, launchingKernel(6, 3))
+					stalledSMXs := 0
+					for _, st := range res.SMXStats {
+						if st.MemStallEvents > 0 {
+							stalledSMXs++
+						}
+					}
+					if stalledSMXs < 2 {
+						t.Errorf("%d SMXs stalled on an MSHR table; the cell does not exercise shared-table stalls", stalledSMXs)
+					}
+				})
+			}
 		}
 	}
 }

@@ -77,17 +77,65 @@ func (b *TBBuilder) Store(addrFn func(tid int) uint64) *TBBuilder {
 func (b *TBBuilder) mem(kind OpKind, addrFn func(tid int) uint64) *TBBuilder {
 	for w := range b.tb.Warps {
 		lanes := b.lanesOf(w)
-		addrs := make([]uint64, lanes)
+		var set lineSet
 		for l := 0; l < lanes; l++ {
-			addrs[l] = addrFn(w*config.WarpSize + l)
+			set.add(addrFn(w*config.WarpSize + l))
 		}
 		b.tb.Warps[w] = append(b.tb.Warps[w], Inst{
 			Kind:        kind,
-			Addrs:       addrs,
+			Lines:       set.copyOut(),
 			ActiveLanes: lanes,
 		})
 	}
 	return b
+}
+
+// lineSetBits sizes lineSet's hash table at 64 slots, so the at most
+// WarpSize lines of one instruction keep its load factor at or below 1/2.
+const lineSetBits = 6
+
+// lineSet coalesces one warp instruction's lane addresses into its 128-byte
+// transactions in first-touch order, exactly as Coalesce does, but in time
+// linear in the lane count: a lane on the previous lane's line (the
+// unit-stride case) costs one comparison, and any other lane one probe
+// sequence in a small open-addressed hash set. It lives on the builder's
+// stack; only the final lines are copied out.
+type lineSet struct {
+	lines [config.WarpSize]uint64
+	n     int
+	// last is the previous lane's line, valid while n > 0.
+	last uint64
+	// slots holds 1 + an index into lines, or 0 for an empty slot.
+	slots [1 << lineSetBits]uint8
+}
+
+func (c *lineSet) add(addr uint64) {
+	l := addr / config.LineSize * config.LineSize
+	if c.n > 0 && l == c.last {
+		return
+	}
+	c.last = l
+	h := (l / config.LineSize * 0x9e3779b97f4a7c15) >> (64 - lineSetBits)
+	for {
+		i := c.slots[h]
+		if i == 0 {
+			c.lines[c.n] = l
+			c.n++
+			c.slots[h] = uint8(c.n)
+			return
+		}
+		if c.lines[i-1] == l {
+			return
+		}
+		h = (h + 1) & (1<<lineSetBits - 1)
+	}
+}
+
+// copyOut returns the coalesced lines in a slice of exactly their length.
+func (c *lineSet) copyOut() []uint64 {
+	out := make([]uint64, c.n)
+	copy(out, c.lines[:c.n])
+	return out
 }
 
 // LoadSeq appends a coalesced load of `words` consecutive 4-byte words per
@@ -134,27 +182,28 @@ func (b *TBBuilder) StoreMasked(addrs []uint64, active []bool) *TBBuilder {
 	return b.memMasked(OpStore, addrs, active)
 }
 
-func (b *TBBuilder) memMasked(kind OpKind, addrs []uint64, active []bool) *TBBuilder {
-	if len(addrs) != b.tb.Threads || len(active) != b.tb.Threads {
+func (b *TBBuilder) memMasked(kind OpKind, addrs []uint64, mask []bool) *TBBuilder {
+	if len(addrs) != b.tb.Threads || len(mask) != b.tb.Threads {
 		panic(fmt.Sprintf("isa: masked op: %d addrs / %d mask entries for %d threads",
-			len(addrs), len(active), b.tb.Threads))
+			len(addrs), len(mask), b.tb.Threads))
 	}
 	for w := range b.tb.Warps {
 		lanes := b.lanesOf(w)
-		var lane []uint64
+		var set lineSet
+		active := 0
 		for l := 0; l < lanes; l++ {
-			tid := w*config.WarpSize + l
-			if active[tid] {
-				lane = append(lane, addrs[tid])
+			if tid := w*config.WarpSize + l; mask[tid] {
+				set.add(addrs[tid])
+				active++
 			}
 		}
-		if len(lane) == 0 {
+		if active == 0 {
 			continue
 		}
 		b.tb.Warps[w] = append(b.tb.Warps[w], Inst{
 			Kind:        kind,
-			Addrs:       lane,
-			ActiveLanes: len(lane),
+			Lines:       set.copyOut(),
+			ActiveLanes: active,
 		})
 	}
 	return b

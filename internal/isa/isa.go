@@ -3,9 +3,9 @@
 //
 // The LaPerm study is about thread-block scheduling and the memory-system
 // behaviour it induces, so programs are represented as per-warp instruction
-// streams with explicit per-lane memory addresses rather than as compiled
-// PTX: compute instructions occupy the pipeline for a latency, memory
-// instructions carry the byte addresses each active lane touches, and launch
+// streams rather than as compiled PTX: compute instructions occupy the
+// pipeline for a latency, memory instructions carry the 128-byte lines their
+// active lanes touch (coalesced once, when the program is built), and launch
 // instructions spawn child grids (device kernels under CDP, thread-block
 // groups under DTBL).
 package isa
@@ -23,9 +23,9 @@ type OpKind uint8
 const (
 	// OpCompute occupies the warp for Latency cycles.
 	OpCompute OpKind = iota
-	// OpLoad reads the per-lane addresses through the cache hierarchy.
+	// OpLoad reads the instruction's lines through the cache hierarchy.
 	OpLoad
-	// OpStore writes the per-lane addresses (write-through past the L1,
+	// OpStore writes the instruction's lines (write-through past the L1,
 	// as on Kepler).
 	OpStore
 	// OpBarrier blocks the warp until every warp of its thread block has
@@ -61,13 +61,16 @@ type Inst struct {
 	// Latency is the pipeline occupancy in cycles for OpCompute.
 	Latency int
 
-	// Addrs holds the byte address accessed by each active lane for
-	// OpLoad/OpStore. Its length is the number of active lanes.
-	Addrs []uint64
+	// Lines holds the line-aligned addresses of the 128-byte memory
+	// transactions of an OpLoad/OpStore, in first-touch lane order:
+	// exactly Coalesce of the active lanes' byte addresses. The builder
+	// coalesces once, so the SMX issues these transactions directly; the
+	// slice is shared, read-only program memory.
+	Lines []uint64
 
 	// ActiveLanes is the number of threads executing the instruction;
 	// used for per-thread instruction counting (IPC). For memory ops it
-	// equals len(Addrs).
+	// bounds len(Lines) from above.
 	ActiveLanes int
 
 	// Launch indexes the owning thread block's Launches slice for
@@ -121,8 +124,8 @@ func (tb *TB) Footprint() []uint64 {
 			if in.Kind != OpLoad && in.Kind != OpStore {
 				continue
 			}
-			for _, a := range in.Addrs {
-				seen[a/config.LineSize] = struct{}{}
+			for _, l := range in.Lines {
+				seen[l/config.LineSize] = struct{}{}
 			}
 		}
 	}
@@ -181,8 +184,8 @@ func (k *Kernel) walkChildren(visit func(parent, child *Kernel)) {
 }
 
 // Validate reports an error if any instruction is malformed: launches out of
-// range, memory ops without addresses, non-positive compute latency, or lane
-// counts exceeding the warp width.
+// range, memory ops without lines or with more lines than active lanes,
+// non-positive compute latency, or lane counts exceeding the warp width.
 func (k *Kernel) Validate() error {
 	for ti, tb := range k.TBs {
 		if tb.Threads <= 0 {
@@ -207,13 +210,13 @@ func (k *Kernel) Validate() error {
 							k.Name, ti, wi, ii, in.Latency)
 					}
 				case OpLoad, OpStore:
-					if len(in.Addrs) == 0 {
-						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d memory op without addresses",
+					if len(in.Lines) == 0 {
+						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d memory op without lines",
 							k.Name, ti, wi, ii)
 					}
-					if len(in.Addrs) != in.ActiveLanes {
-						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d has %d addrs for %d lanes",
-							k.Name, ti, wi, ii, len(in.Addrs), in.ActiveLanes)
+					if len(in.Lines) > in.ActiveLanes {
+						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d has %d lines for %d lanes",
+							k.Name, ti, wi, ii, len(in.Lines), in.ActiveLanes)
 					}
 				case OpLaunch:
 					if in.Launch < 0 || in.Launch >= len(tb.Launches) {
@@ -234,19 +237,10 @@ func (k *Kernel) Validate() error {
 
 // Coalesce maps per-lane byte addresses onto the minimal set of 128-byte
 // memory transactions, in first-touch order, exactly as the hardware
-// coalescer does for a warp memory instruction. A warp has at most 32
-// lanes, so the dedup is a linear scan rather than a map.
+// coalescer does for a warp memory instruction. It is the reference the
+// builder's linear-time coalescer (lineSet) is tested against.
 func Coalesce(addrs []uint64) []uint64 {
-	return CoalesceInto(make([]uint64, 0, 4), addrs)
-}
-
-// CoalesceInto is Coalesce appending into dst's backing array, for callers
-// on the per-cycle path that keep a reusable scratch buffer (the SMX warp
-// state does; see internal/smx). dst is truncated first. A warp instruction
-// touches at most config.WarpSize distinct lines (Validate bounds the lane
-// count), so a caller-owned buffer with capacity WarpSize never reallocates.
-func CoalesceInto(dst, addrs []uint64) []uint64 {
-	lines := dst[:0]
+	lines := make([]uint64, 0, 4)
 next:
 	for _, a := range addrs {
 		l := a / config.LineSize * config.LineSize

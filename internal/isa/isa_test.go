@@ -62,17 +62,20 @@ func TestPartialWarpActiveLanes(t *testing.T) {
 }
 
 func TestLoadAddressesPerThread(t *testing.T) {
+	// Thread tid reads tid*8, so each warp's 32 lanes span 256 bytes: two
+	// lines, in lane order.
 	tb := NewTB(64).Load(func(tid int) uint64 { return uint64(tid) * 8 }).Build()
 	for w := 0; w < 2; w++ {
 		in := tb.Warps[w][0]
 		if in.Kind != OpLoad {
 			t.Fatalf("warp %d inst kind = %v", w, in.Kind)
 		}
-		for l, a := range in.Addrs {
-			want := uint64(w*config.WarpSize+l) * 8
-			if a != want {
-				t.Errorf("warp %d lane %d addr = %d, want %d", w, l, a, want)
-			}
+		base := uint64(w) * 256
+		if want := []uint64{base, base + config.LineSize}; !reflect.DeepEqual(in.Lines, want) {
+			t.Errorf("warp %d lines = %v, want %v", w, in.Lines, want)
+		}
+		if in.ActiveLanes != config.WarpSize {
+			t.Errorf("warp %d active lanes = %d, want %d", w, in.ActiveLanes, config.WarpSize)
 		}
 	}
 }
@@ -82,8 +85,8 @@ func TestLoadSeqIsCoalesced(t *testing.T) {
 	// Each warp instruction should coalesce to exactly one 128-byte line.
 	for w, warp := range tb.Warps {
 		for i, in := range warp {
-			if lines := Coalesce(in.Addrs); len(lines) != 1 {
-				t.Errorf("warp %d inst %d coalesces to %d lines, want 1", w, i, len(lines))
+			if len(in.Lines) != 1 {
+				t.Errorf("warp %d inst %d coalesces to %d lines, want 1", w, i, len(in.Lines))
 			}
 		}
 	}
@@ -152,8 +155,9 @@ func TestKernelValidate(t *testing.T) {
 		{Name: "warp-mismatch", TBs: []*TB{{Threads: 64, Warps: make([][]Inst, 1)}}},
 		{Name: "bad-lanes", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Latency: 1, ActiveLanes: 33}}}}}},
 		{Name: "bad-latency", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Latency: 0, ActiveLanes: 32}}}}}},
-		{Name: "no-addrs", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, ActiveLanes: 32}}}}}},
-		{Name: "addr-lane-mismatch", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, Addrs: make([]uint64, 4), ActiveLanes: 32}}}}}},
+		{Name: "no-lines", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, ActiveLanes: 32}}}}}},
+		{Name: "empty-lines", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpStore, Lines: []uint64{}, ActiveLanes: 32}}}}}},
+		{Name: "lines-exceed-lanes", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, Lines: make([]uint64, 4), ActiveLanes: 3}}}}}},
 		{Name: "bad-launch-index", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLaunch, ActiveLanes: 1, Launch: 0}}}}}},
 	}
 	for _, k := range broken {
@@ -329,10 +333,10 @@ func TestLoadMaskedLaneCompaction(t *testing.T) {
 	if n := len(tb.Warps[0]); n != 1 {
 		t.Fatalf("warp 0 insts = %d", n)
 	}
-	if got := tb.Warps[0][0]; got.ActiveLanes != 1 || got.Addrs[0] != 3*256 {
+	if got := tb.Warps[0][0]; got.ActiveLanes != 1 || !reflect.DeepEqual(got.Lines, []uint64{3 * 256}) {
 		t.Errorf("warp 0 inst = %+v", got)
 	}
-	if got := tb.Warps[1][0]; got.ActiveLanes != 2 || got.Addrs[0] != 40*256 || got.Addrs[1] != 41*256 {
+	if got := tb.Warps[1][0]; got.ActiveLanes != 2 || !reflect.DeepEqual(got.Lines, []uint64{40 * 256, 41 * 256}) {
 		t.Errorf("warp 1 inst = %+v", got)
 	}
 }
@@ -375,10 +379,116 @@ func TestStoreSeqAddressing(t *testing.T) {
 		t.Fatalf("insts = %d", len(tb.Warps[0]))
 	}
 	// Word 1 starts after 64 threads * 4 bytes.
-	if got := tb.Warps[0][1].Addrs[0]; got != 1024+256 {
+	if got := tb.Warps[0][1].Lines[0]; got != 1024+256 {
 		t.Errorf("second word base = %d, want %d", got, 1024+256)
 	}
 	if tb.Warps[0][0].Kind != OpStore {
 		t.Error("StoreSeq produced non-store")
+	}
+}
+
+// scatterAddrs returns one address per thread drawn from a span of lines
+// small enough that lanes collide on lines, unaligned within each line.
+func scatterAddrs(rng *rand.Rand, threads, spanLines int) []uint64 {
+	addrs := make([]uint64, threads)
+	for i := range addrs {
+		addrs[i] = 1<<20 + uint64(rng.Intn(spanLines*config.LineSize))
+	}
+	return addrs
+}
+
+// TestBuilderLinesMatchCoalesce checks every memory builder against the
+// reference: each warp instruction's Lines is Coalesce of its active lanes'
+// addresses, and ActiveLanes counts those lanes. 70 threads leave a
+// six-lane last warp; the masks switch lanes off at random and switch off
+// every lane of warp 1, which must then receive no instruction.
+func TestBuilderLinesMatchCoalesce(t *testing.T) {
+	const threads = 70
+	rng := rand.New(rand.NewSource(7))
+	addrs := scatterAddrs(rng, threads, 40)
+	mask := make([]bool, threads)
+	for tid := range mask {
+		mask[tid] = tid/config.WarpSize != 1 && rng.Intn(3) != 0
+	}
+	all := make([]bool, threads)
+	for tid := range all {
+		all[tid] = true
+	}
+	cases := []struct {
+		name string
+		kind OpKind
+		mask []bool
+		tb   *TB
+	}{
+		{"Load", OpLoad, all, NewTB(threads).Load(func(tid int) uint64 { return addrs[tid] }).Build()},
+		{"LoadGather", OpLoad, all, NewTB(threads).LoadGather(addrs).Build()},
+		{"LoadMasked", OpLoad, mask, NewTB(threads).LoadMasked(addrs, mask).Build()},
+		{"StoreMasked", OpStore, mask, NewTB(threads).StoreMasked(addrs, mask).Build()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for w, warp := range c.tb.Warps {
+				var lanes []uint64
+				for tid := w * config.WarpSize; tid < threads && tid < (w+1)*config.WarpSize; tid++ {
+					if c.mask[tid] {
+						lanes = append(lanes, addrs[tid])
+					}
+				}
+				if len(lanes) == 0 {
+					if len(warp) != 0 {
+						t.Errorf("warp %d: %d instructions for no active lane", w, len(warp))
+					}
+					continue
+				}
+				if len(warp) != 1 {
+					t.Fatalf("warp %d: %d instructions, want 1", w, len(warp))
+				}
+				in := warp[0]
+				if in.Kind != c.kind {
+					t.Errorf("warp %d: kind %v, want %v", w, in.Kind, c.kind)
+				}
+				if in.ActiveLanes != len(lanes) {
+					t.Errorf("warp %d: %d active lanes, want %d", w, in.ActiveLanes, len(lanes))
+				}
+				if want := Coalesce(lanes); !reflect.DeepEqual(in.Lines, want) {
+					t.Errorf("warp %d: lines %v, want Coalesce %v", w, in.Lines, want)
+				}
+			}
+			if err := NewKernel(c.name).Add(c.tb).Build().Validate(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if got := cases[0].tb.Warps[2][0].ActiveLanes; got != threads-2*config.WarpSize {
+		t.Errorf("partial last warp: %d active lanes, want %d", got, threads-2*config.WarpSize)
+	}
+}
+
+// Property: the builder's linear-time dedupe (lineSet) agrees with the
+// Coalesce reference on any warp's worth of addresses, over spans from one
+// line (every lane collides) to far more lines than lanes (hash probing
+// with few collisions).
+func TestLineSetMatchesCoalesce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		lanes := 1 + rng.Intn(config.WarpSize)
+		span := 1 + rng.Intn(4*config.WarpSize)
+		if trial%4 == 0 {
+			span = 1 << 20
+		}
+		addrs := make([]uint64, lanes)
+		for i := range addrs {
+			addrs[i] = uint64(rng.Int63n(int64(span) * config.LineSize))
+			if trial%3 == 0 && i > 0 && rng.Intn(2) == 0 {
+				addrs[i] = addrs[i-1] + 4 // unit stride: the last-line fast path
+			}
+		}
+		var set lineSet
+		for _, a := range addrs {
+			set.add(a)
+		}
+		if got, want := set.copyOut(), Coalesce(addrs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: lineSet %v, Coalesce %v (addrs %v)", trial, got, want, addrs)
+		}
 	}
 }

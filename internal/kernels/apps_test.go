@@ -54,7 +54,7 @@ func TestAMRChildrenWritePrivateFineGrids(t *testing.T) {
 						if in.Kind != isa.OpStore {
 							continue
 						}
-						for _, a := range in.Addrs {
+						for _, a := range in.Lines {
 							if a >= RegionOut {
 								mine[a/128] = true
 							}
@@ -147,7 +147,7 @@ func TestJOINChildrenConsumeStagedData(t *testing.T) {
 		for _, warp := range tb.Warps {
 			for _, in := range warp {
 				if in.Kind == isa.OpStore {
-					for _, a := range in.Addrs {
+					for _, a := range in.Lines {
 						if a >= RegionStage && a < RegionOut {
 							parentStores[a/128] = true
 						}

@@ -2,7 +2,7 @@ package mem
 
 // Allocation pin for the MSHR table: insert to capacity, reject at the full
 // table, decide the stalled retry through the O(1) gate, query the
-// stall-wake horizon, and lazily expire the whole table — the complete
+// stall-wake horizons, and lazily expire the whole table — the complete
 // per-cycle MSHR protocol — with zero allocations. The entry
 // slice is preallocated to the table's capacity in NewSystem, so this pin
 // holds from the first access, not just after warm-up.
@@ -43,6 +43,7 @@ func TestMSHRInsertExpireZeroAlloc(t *testing.T) {
 			}
 		}
 		s.NextStallWake(0, now+1)
+		s.MergeWake(0, (line-1)*config.LineSize, s.StallMark(0)-1, now+1)
 		// Jump past every fill completion: the next round's first lookup
 		// prunes the entire table (lazy expiry).
 		now += 1 << 20

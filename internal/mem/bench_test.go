@@ -118,3 +118,51 @@ func BenchmarkNextStallWake(b *testing.B) {
 		}
 	})
 }
+
+// benchResidentLines is the number of lines the L1 and L2 benchmarks keep
+// resident: as many as one table of MSHRs fills at once, in distinct L1 sets.
+const benchResidentLines = benchMSHRs
+
+// BenchmarkL1Hit is a load that hits in the L1: the MSHR lookup finds no
+// outstanding miss and one pass over the set counts the hit and touches
+// LRU. The lines were loaded at cycle 0 and every query is made after all
+// their fills completed, so the table is empty and the L1 holds every line.
+func BenchmarkL1Hit(b *testing.B) {
+	cfg := config.KeplerK20c()
+	s := NewSystem(&cfg)
+	var done uint64
+	for i := uint64(0); i < benchResidentLines; i++ {
+		c, ok := s.Load(0, i*config.LineSize, 0)
+		if !ok {
+			b.Fatalf("fill load %d rejected", i)
+		}
+		done = max(done, c)
+	}
+	want := done + uint64(cfg.L1HitLatency)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c, ok := s.LoadAs(0, uint64(i%benchResidentLines)*config.LineSize, done, NoAccessor); !ok || c != want {
+			b.Fatalf("resident line: complete %d ok %v, want an L1 hit at %d", c, ok, want)
+		}
+	}
+}
+
+// BenchmarkL2Access is the shared-L2 leg of an L1 miss that hits in the L2:
+// the line hash, the bank's service port and one pass over the bank's set.
+// The lines were installed by an earlier pass, and the L2 holds all of them.
+func BenchmarkL2Access(b *testing.B) {
+	cfg := config.KeplerK20c()
+	s := NewSystem(&cfg)
+	for i := uint64(0); i < benchResidentLines; i++ {
+		s.l2Access(i, 0, NoAccessor)
+	}
+	before := s.L2Total()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.l2Access(uint64(i%benchResidentLines), 0, NoAccessor)
+	}
+	b.StopTimer()
+	if got := s.L2Total(); got.Hits-before.Hits != int64(b.N) {
+		b.Fatalf("%d L2 hits over %d accesses, want all hits", got.Hits-before.Hits, b.N)
+	}
+}

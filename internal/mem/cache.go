@@ -179,6 +179,9 @@ type cacheLine struct {
 type Cache struct {
 	sets    [][]cacheLine
 	numSets uint64
+	// setMask is numSets-1 when numSets is a power of two (every baked
+	// geometry), so set selection is a mask; 0 selects the % fallback.
+	setMask uint64
 	useTick uint64
 	stats   Stats
 	attrib  bool
@@ -195,7 +198,20 @@ func NewCache(numSets, assoc int) *Cache {
 	for i := range sets {
 		sets[i], backing = backing[:assoc:assoc], backing[assoc:]
 	}
-	return &Cache{sets: sets, numSets: uint64(numSets)}
+	c := &Cache{sets: sets, numSets: uint64(numSets)}
+	if numSets&(numSets-1) == 0 {
+		c.setMask = c.numSets - 1
+	}
+	return c
+}
+
+// set returns the ways lineID maps to. A one-set cache has setMask 0 and
+// takes the % path, which is equally correct.
+func (c *Cache) set(lineID uint64) []cacheLine {
+	if c.setMask != 0 {
+		return c.sets[lineID&c.setMask]
+	}
+	return c.sets[lineID%c.numSets]
 }
 
 // Access looks up the line identified by lineID (byte address divided by the
@@ -229,7 +245,7 @@ func (c *Cache) Reuse() ReuseStats { return c.reuse }
 // Probe reports whether the line is present without allocating or touching
 // LRU state or statistics.
 func (c *Cache) Probe(lineID uint64) bool {
-	set := c.sets[lineID%c.numSets]
+	set := c.set(lineID)
 	for i := range set {
 		if set[i].valid && set[i].tag == lineID {
 			return true
@@ -245,9 +261,29 @@ func (c *Cache) Touch(lineID uint64) bool {
 	return c.access(lineID, NoAccessor, false)
 }
 
+// hitAs is AccessAs for a line that is present and Probe for one that is
+// not, in one pass over the set: a hit is counted, touches LRU and is
+// classified exactly as AccessAs would; a miss changes nothing.
+func (c *Cache) hitAs(lineID uint64, acc Accessor) bool {
+	set := c.set(lineID)
+	for i := range set {
+		if set[i].valid && set[i].tag == lineID {
+			c.useTick++
+			set[i].lastUse = c.useTick
+			if c.attrib {
+				c.reuse.count(acc.classify(set[i].inst, set[i].parent))
+			}
+			c.stats.Accesses++
+			c.stats.Hits++
+			return true
+		}
+	}
+	return false
+}
+
 func (c *Cache) access(lineID uint64, acc Accessor, allocate bool) bool {
 	c.useTick++
-	set := c.sets[lineID%c.numSets]
+	set := c.set(lineID)
 	victim := 0
 	for i := range set {
 		if set[i].valid && set[i].tag == lineID {

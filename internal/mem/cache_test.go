@@ -181,3 +181,23 @@ func TestFittingWorkingSetConverges(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheSetIndex checks set selection on both paths, the mask for a
+// power-of-two set count and % otherwise: in a direct-mapped cache, any
+// numSets consecutive lines occupy every set once.
+func TestCacheSetIndex(t *testing.T) {
+	for _, numSets := range []int{8, 6} {
+		c := NewCache(numSets, 1)
+		for l := uint64(0); l < 3*uint64(numSets); l++ {
+			c.Access(l)
+		}
+		if got := c.Occupancy(); got != numSets {
+			t.Errorf("%d sets: %d lines resident, want %d", numSets, got, numSets)
+		}
+		for l := 2 * uint64(numSets); l < 3*uint64(numSets); l++ {
+			if !c.Probe(l) {
+				t.Errorf("%d sets: line %d evicted by a line of another set", numSets, l)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 
 	"laperm/internal/config"
@@ -9,8 +10,9 @@ import (
 // These tests pin the two properties the fast-forward clock leans on in the
 // memory system: MSHR liveness is a pure function of the query cycle (so the
 // lazily-pruned table is jump-safe — nothing observable depends on how often
-// it was polled in between), and NextStallWake is exactly the dense-scan
-// answer for the first cycle a stalled warp's retry could make progress.
+// it was polled in between), and the stall wakes — NextStallWake for a slot
+// release, MergeWake per stalled warp — never pass the first cycle a dense
+// retry of a stalled warp would succeed.
 
 // TestMSHRTableJumpSafe feeds one add schedule to two tables and queries the
 // first at every cycle and the second only at a sparse set of jump targets.
@@ -69,9 +71,9 @@ func TestMSHRTableJumpSafe(t *testing.T) {
 
 // TestNextStallWakeMatchesDenseScan fills an SMX's MSHR table through the
 // real load path and cross-checks NextStallWake against the brute-force
-// definition: the first cycle >= next at which the table has a free slot for
-// the blocked line, lowered to lastAdd+1 (not yet observed by a retry) for
-// the merge-enablement case.
+// definition: the first cycle >= next at which the table has a free slot.
+// The add that filled the table wakes nothing by itself; a warp whose line
+// it was is woken by MergeWake instead.
 func TestNextStallWakeMatchesDenseScan(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.L1MSHRs = 4
@@ -90,11 +92,11 @@ func TestNextStallWakeMatchesDenseScan(t *testing.T) {
 	if _, ok := s.Load(0, 4*config.LineSize, fillCycle); ok {
 		t.Fatal("fifth miss accepted by a full 4-entry MSHR table")
 	}
+	mark := s.StallMark(0)
 
 	m := s.mshr[cfg.ClusterOf(0)]
 	oracle := func(next uint64) uint64 {
-		slotFree := next
-		for {
+		for slotFree := next; ; slotFree++ {
 			live := 0
 			for _, e := range m.entries {
 				if e.complete > slotFree {
@@ -102,17 +104,9 @@ func TestNextStallWakeMatchesDenseScan(t *testing.T) {
 				}
 			}
 			if live < m.cap {
-				break
+				return slotFree
 			}
-			slotFree++
 		}
-		// The add at lastAdd becomes visible to a retry one cycle later,
-		// enabling a merge even while the table stays full; a lastAdd+1
-		// before next was already observed and never rearms.
-		if m.lastAdd != noExpiry && m.lastAdd+1 >= next && m.lastAdd+1 < slotFree {
-			return m.lastAdd + 1
-		}
-		return slotFree
 	}
 
 	minComplete := completes[0]
@@ -129,11 +123,24 @@ func TestNextStallWakeMatchesDenseScan(t *testing.T) {
 		}
 	}
 
+	// The rejected line has no entry after the mark: only the slot release
+	// wakes it. A line added after a mark merges from the cycle after the
+	// add, and never earlier than the cycle asked about.
+	if got := s.MergeWake(0, 4*config.LineSize, mark, fillCycle+1); got != noExpiry {
+		t.Errorf("MergeWake for the rejected line = %d, want none", got)
+	}
+	if got := s.MergeWake(0, 3*config.LineSize, mark-1, fillCycle+1); got != fillCycle+1 {
+		t.Errorf("MergeWake for a line added after the mark = %d, want %d", got, fillCycle+1)
+	}
+	if got := s.MergeWake(0, 3*config.LineSize, mark-1, fillCycle+5); got != fillCycle+5 {
+		t.Errorf("MergeWake asked later = %d, want next=%d", got, fillCycle+5)
+	}
+
 	// The wake must be productive: a retry at the reported cycle succeeds,
-	// while one the cycle before (past the merge window) still bounces.
-	wake := s.NextStallWake(0, fillCycle+2)
+	// while one the cycle before still bounces.
+	wake := s.NextStallWake(0, fillCycle+1)
 	if wake != minComplete {
-		t.Fatalf("post-merge-window wake = %d, want first fill completion %d", wake, minComplete)
+		t.Fatalf("wake = %d, want first fill completion %d", wake, minComplete)
 	}
 	if _, ok := s.Load(0, 5*config.LineSize, wake-1); ok {
 		t.Errorf("retry at wake-1 (%d) succeeded; wake is not tight", wake-1)
@@ -148,4 +155,97 @@ func TestNextStallWakeMatchesDenseScan(t *testing.T) {
 	if got := s.NextStallWake(0, far); got != far {
 		t.Errorf("NextStallWake with free slots = %d, want next=%d", got, far)
 	}
+}
+
+// TestStallHorizonNeverPassesDenseRetry runs the randomized schedules of
+// TestStallGateMatchesLoadPath (eight warps on two SMXs, one table per SMX
+// or one shared, 4 MSHRs, random retry starvation and time jumps) and after
+// every cycle computes each SMX's stall horizon as smx.NextEvent does:
+// NextStallWake, lowered by MergeWake for each of its stalled warps. The
+// dense oracle freezes the memory system and checks every cycle before the
+// horizon at which any of those warps' retries could first be accepted;
+// none may be. Freezing is exact up to the horizon: no warp, on this SMX or
+// a sibling, can add an entry before a slot frees, and NextStallWake bounds
+// the horizon by that release. A horizon at which a retry is accepted is
+// tight, any other early.
+func TestStallHorizonNeverPassesDenseRetry(t *testing.T) {
+	for _, perCluster := range []int{1, 2} {
+		t.Run(fmt.Sprintf("SMXsPerCluster=%d", perCluster), func(t *testing.T) {
+			var tight, early, mergeWakes int
+			for seed := int64(1); seed <= 16; seed++ {
+				runStallGateSchedule(t, perCluster, seed, func(s *System, now uint64, warps []stallWarp) {
+					next := now + 1
+					for smx := 0; smx < 2; smx++ {
+						stalled, exact, merge := checkStallHorizon(t, seed, s, smx, next, warps)
+						switch {
+						case !stalled:
+						case exact:
+							tight++
+						default:
+							early++
+						}
+						if merge {
+							mergeWakes++
+						}
+					}
+				})
+			}
+			// The horizon must be exact in the common case, and the merge
+			// wake must have bound it somewhere, or the schedule does not
+			// exercise the contract.
+			if tight == 0 || mergeWakes == 0 || early > tight {
+				t.Fatalf("horizons: %d tight, %d early, %d bound by a merge; want tight > 0, merges > 0, early <= tight",
+					tight, early, mergeWakes)
+			}
+			t.Logf("horizons: %d tight, %d early, %d bound by a merge", tight, early, mergeWakes)
+		})
+	}
+}
+
+// checkStallHorizon computes the given SMX's stall horizon at next and fails
+// the test if a dense retry of one of its stalled warps would be accepted
+// before it. It reports whether the SMX has a stalled warp, whether a retry
+// at the horizon is accepted, and whether a merge wake bound the horizon.
+func checkStallHorizon(t *testing.T, seed int64, s *System, smx int, next uint64, warps []stallWarp) (stalled, exact, merge bool) {
+	t.Helper()
+	slot := s.NextStallWake(smx, next)
+	horizon := slot
+	for i := range warps {
+		if w := &warps[i]; w.smx == smx && w.stalled {
+			stalled = true
+			horizon = min(horizon, s.MergeWake(smx, w.line, w.mark, next))
+		}
+	}
+	if !stalled {
+		return false, false, false
+	}
+	accepted := func(now uint64) bool {
+		for i := range warps {
+			if w := &warps[i]; w.smx == smx && w.stalled && loadAccepted(s, smx, w.line, now) {
+				return true
+			}
+		}
+		return false
+	}
+	// Frozen, acceptance changes only where an entry completes, so next and
+	// the completions before the horizon are every cycle a dense retry
+	// could first succeed on.
+	for _, c := range append([]uint64{next}, completionsIn(s.mshr[s.cfg.ClusterOf(smx)], next, horizon)...) {
+		if c < horizon && accepted(c) {
+			t.Fatalf("seed %d cycle %d smx %d: horizon %d passes the first accepted dense retry at %d",
+				seed, next-1, smx, horizon, c)
+		}
+	}
+	return true, accepted(horizon), horizon < slot
+}
+
+// completionsIn returns the completion cycles of m's entries in (lo, hi).
+func completionsIn(m *mshrTable, lo, hi uint64) []uint64 {
+	var cs []uint64
+	for _, e := range m.entries {
+		if e.complete > lo && e.complete < hi {
+			cs = append(cs, e.complete)
+		}
+	}
+	return cs
 }

@@ -48,7 +48,7 @@ func TestStallGateMatchesLoadPath(t *testing.T) {
 		t.Run(fmt.Sprintf("SMXsPerCluster=%d", perCluster), func(t *testing.T) {
 			var blocked, fellAccepted, fellRejected int
 			for seed := int64(1); seed <= 16; seed++ {
-				b, fa, fr := runStallGateSchedule(t, perCluster, seed)
+				b, fa, fr := runStallGateSchedule(t, perCluster, seed, nil)
 				blocked, fellAccepted, fellRejected = blocked+b, fellAccepted+fa, fellRejected+fr
 			}
 			// Every verdict class must occur, or the schedule does not
@@ -65,7 +65,10 @@ func TestStallGateMatchesLoadPath(t *testing.T) {
 	t.Run("PruneBetweenRejectionAndRetry", testPruneBetweenRejectionAndRetry)
 }
 
-func runStallGateSchedule(t *testing.T, perCluster int, seed int64) (blocked, fellAccepted, fellRejected int) {
+// runStallGateSchedule runs one randomized schedule, checking every verdict,
+// and calls afterCycle, when non-nil, once each cycle's warps have acted.
+func runStallGateSchedule(t *testing.T, perCluster int, seed int64,
+	afterCycle func(s *System, now uint64, warps []stallWarp)) (blocked, fellAccepted, fellRejected int) {
 	t.Helper()
 	cfg := config.SmallTest()
 	cfg.L1MSHRs = 4
@@ -130,6 +133,9 @@ func runStallGateSchedule(t *testing.T, perCluster int, seed int64) (blocked, fe
 				w.mark = s.StallMark(w.smx)
 				fellRejected++
 			}
+		}
+		if afterCycle != nil {
+			afterCycle(s, now, warps)
 		}
 	}
 	return blocked, fellAccepted, fellRejected

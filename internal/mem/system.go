@@ -32,15 +32,15 @@ type mshrTable struct {
 	// fast-forward clock uses to wake MSHR-stalled warps.
 	nextExpire uint64
 	// lastAdd is the cycle of the most recent add (noExpiry before the
-	// first). A new entry can turn a stalled warp's blocked line into an
-	// MSHR merge (and, once the fill lands, an L1 hit) on the very next
-	// cycle, so lastAdd+1 is a wake horizon alongside nextExpire.
+	// first). An entry for a stalled warp's blocked line turns its retry
+	// into an MSHR merge (and, once the fill lands, an L1 hit) from the
+	// next cycle on, so lastAdd+1 is the wake MergeWake reports.
 	lastAdd uint64
 	// adds counts entries ever added (the seq of the newest), and
 	// prunedSeq is the highest seq prune has dropped. prune keeps entries
 	// in add order, so the entries numbered above a mark are a suffix of
 	// the slice, and all of them are still present while prunedSeq does
-	// not exceed the mark. stillBlocked rests on both.
+	// not exceed the mark. stillBlocked and mergeable rest on both.
 	adds      uint64
 	prunedSeq uint64
 }
@@ -108,15 +108,24 @@ func (m *mshrTable) full(now uint64) bool {
 // is false and the caller falls back to LoadAs. Like lookup, it only prunes.
 func (m *mshrTable) stillBlocked(lineID, mark, now uint64) bool {
 	m.prune(now)
-	if len(m.entries) < m.cap || m.prunedSeq > mark {
-		return false
+	return len(m.entries) >= m.cap && !m.mergeable(lineID, mark)
+}
+
+// mergeable reports whether the table changed since mark in a way that can
+// accept a load of lineID rejected at mark other than by releasing a slot:
+// an entry added since is this line (a merge), or prune has dropped an entry
+// added since, whose line may now hit in the L1. It reads the table as last
+// pruned and does not prune.
+func (m *mshrTable) mergeable(lineID, mark uint64) bool {
+	if m.prunedSeq > mark {
+		return true
 	}
 	for i := len(m.entries) - 1; i >= 0 && m.entries[i].seq > mark; i-- {
 		if m.entries[i].lineID == lineID {
-			return false
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 func (m *mshrTable) add(lineID, complete, now uint64) {
@@ -133,9 +142,14 @@ func (m *mshrTable) add(lineID, complete, now uint64) {
 type System struct {
 	cfg *config.GPU
 
-	l1   []*Cache
-	mshr []*mshrTable
-	l2   []*Cache
+	// l1 and mshr hold one cache and MSHR table per cluster; l1Of and
+	// mshrOf route each SMX to its cluster's, so the access path indexes
+	// by SMX without dividing by SMXsPerCluster.
+	l1     []*Cache
+	mshr   []*mshrTable
+	l1Of   []*Cache
+	mshrOf []*mshrTable
+	l2     []*Cache
 
 	// l2Next is the next free service slot of each L2 bank (one access
 	// per bank per cycle).
@@ -165,6 +179,12 @@ func NewSystem(cfg *config.GPU) *System {
 	for i := range s.l1 {
 		s.l1[i] = NewCache(cfg.L1Sets(), cfg.L1Assoc)
 		s.mshr[i] = newMSHRTable(cfg.L1MSHRs)
+	}
+	s.l1Of = make([]*Cache, cfg.NumSMX)
+	s.mshrOf = make([]*mshrTable, cfg.NumSMX)
+	for smx := range s.l1Of {
+		s.l1Of[smx] = s.l1[cfg.ClusterOf(smx)]
+		s.mshrOf[smx] = s.mshr[cfg.ClusterOf(smx)]
 	}
 	for i := range s.l2 {
 		s.l2[i] = NewCache(cfg.L2SetsPerBank(), cfg.L2Assoc)
@@ -224,38 +244,51 @@ func (s *System) dramAccess(ready uint64) uint64 {
 	return startMilli/1000 + uint64(s.cfg.DRAMLatency)
 }
 
-// NextStallWake returns the earliest cycle >= next at which a warp of the
-// given SMX stalled on a full MSHR table could make progress, or ^uint64(0)
-// when no such cycle is scheduled. A blocked line advances when the table
-// has a slot for it — if a slot is already free at next (expired fills can
-// linger unclaimed while the warp scheduler's issue-width starves the
-// stalled warp's retry), the retry can succeed immediately; otherwise the
-// earliest fill completion (nextExpire) is the first chance. Independently,
-// another warp's access to the same line can turn the retry into an MSHR
-// merge (and, once the fill lands, an L1 hit) — new entries appear only
-// through add, so lastAdd+1 bounds that case; a lastAdd+1 below next has
-// already been observed by a retry and never rearms.
+// NextStallWake returns the earliest cycle >= next at which the MSHR table
+// serving the given SMX has a slot for a warp stalled on it, or ^uint64(0)
+// when no such cycle is scheduled. If a slot is already free at next
+// (expired fills can linger unclaimed while the warp scheduler's issue-width
+// starves the stalled warp's retry), the retry can succeed immediately;
+// otherwise the earliest fill completion (nextExpire) is the first chance.
+// A retry can also succeed without a slot, by merging with an entry added
+// since it was rejected; MergeWake answers that per stalled warp. Until the
+// slot release no add can happen at all, so a full table's only wakes are
+// these two.
 //
 // It is a pure query (it does not prune), so it may be asked about any cycle,
 // and it needs no scan: nextExpire is the earliest completion among the
 // entries, so before it every entry is live, and from it on at least one
 // entry has expired and the table (never above capacity) has a live slot.
 func (s *System) NextStallWake(smx int, next uint64) uint64 {
-	m := s.mshr[s.cfg.ClusterOf(smx)]
+	m := s.mshrOf[smx]
 	if len(m.entries) < m.cap || next >= m.nextExpire {
 		return next
 	}
-	wake := m.nextExpire
-	if m.lastAdd != noExpiry {
-		if a := m.lastAdd + 1; a >= next && a < wake {
-			wake = a
-		}
+	return m.nextExpire
+}
+
+// MergeWake returns the earliest cycle >= next at which a retry of a load of
+// lineAddr, rejected with mark from StallMark or LoadStillBlocked, could be
+// accepted by something other than a released slot, or ^uint64(0) when none
+// can happen before one. That is the cycle after the last add once an entry
+// for the line was added since the mark (the retry merges with it), or
+// prune has dropped an entry added since (its line may now hit in the L1);
+// these are exactly the changes that make LoadStillBlocked fall through on a
+// full table. It is a pure query and usually costs two comparisons: a warp
+// that retried after the last add holds the table's current mark.
+func (s *System) MergeWake(smx int, lineAddr, mark, next uint64) uint64 {
+	m := s.mshrOf[smx]
+	if !m.mergeable(lineAddr/config.LineSize, mark) {
+		return noExpiry
 	}
-	return wake
+	if a := m.lastAdd + 1; a > next {
+		return a
+	}
+	return next
 }
 
 // Load performs one coalesced 128-byte load transaction for the given SMX at
-// cycle now. lineAddr must be line-aligned (as produced by isa.Coalesce).
+// cycle now. lineAddr must be line-aligned (one of an isa.Inst's Lines).
 // It returns the cycle at which the data is available and ok=false if the
 // SMX's MSHRs are full (the caller must retry on a later cycle; the access
 // is not counted).
@@ -268,8 +301,7 @@ func (s *System) Load(smx int, lineAddr, now uint64) (complete uint64, ok bool) 
 // classified: the data was not in the cache, so no reuse occurred.
 func (s *System) LoadAs(smx int, lineAddr, now uint64, acc Accessor) (complete uint64, ok bool) {
 	lineID := lineAddr / config.LineSize
-	l1 := s.l1[s.cfg.ClusterOf(smx)]
-	tbl := s.mshr[s.cfg.ClusterOf(smx)]
+	l1, tbl := s.l1Of[smx], s.mshrOf[smx]
 
 	// A hit under an outstanding miss to the same line merges with the
 	// MSHR entry: it completes with the fill, counts as an L1 miss (the
@@ -278,8 +310,7 @@ func (s *System) LoadAs(smx int, lineAddr, now uint64, acc Accessor) (complete u
 		l1.stats.Accesses++
 		return c, true
 	}
-	if l1.Probe(lineID) {
-		l1.AccessAs(lineID, acc) // counts the hit and updates LRU
+	if l1.hitAs(lineID, acc) {
 		return now + uint64(s.cfg.L1HitLatency), true
 	}
 	// Miss: needs an MSHR before it can allocate and go to L2. A full
@@ -296,7 +327,7 @@ func (s *System) LoadAs(smx int, lineAddr, now uint64, acc Accessor) (complete u
 // StallMark returns the MSHR add count of the table serving the given SMX.
 // A warp records it when LoadAs rejects its load and passes it to
 // LoadStillBlocked on the retry.
-func (s *System) StallMark(smx int) uint64 { return s.mshr[s.cfg.ClusterOf(smx)].adds }
+func (s *System) StallMark(smx int) uint64 { return s.mshrOf[smx].adds }
 
 // LoadStillBlocked decides in O(1) whether a retry at cycle now of a load
 // LoadAs rejected, with mark from StallMark or a previous call, would be
@@ -305,7 +336,7 @@ func (s *System) StallMark(smx int) uint64 { return s.mshr[s.cfg.ClusterOf(smx)]
 // prune, so the caller may skip LoadAs. blocked=false means the caller must
 // retry through LoadAs, which may still reject.
 func (s *System) LoadStillBlocked(smx int, lineAddr, mark, now uint64) (newMark uint64, blocked bool) {
-	m := s.mshr[s.cfg.ClusterOf(smx)]
+	m := s.mshrOf[smx]
 	if !m.stillBlocked(lineAddr/config.LineSize, mark, now) {
 		return mark, false
 	}
@@ -326,7 +357,7 @@ func (s *System) Store(smx int, lineAddr, now uint64) uint64 {
 // allocated line and classifies an L2 hit like a load would.
 func (s *System) StoreAs(smx int, lineAddr, now uint64, acc Accessor) uint64 {
 	lineID := lineAddr / config.LineSize
-	s.l1[s.cfg.ClusterOf(smx)].Touch(lineID)
+	s.l1Of[smx].Touch(lineID)
 	s.storeAccesses++
 	return s.l2Access(lineID, now, acc)
 }
@@ -364,7 +395,7 @@ func (s *System) L2Reuse() ReuseStats {
 
 // L1Stats returns the load statistics of the L1 serving the given SMX (its
 // cluster's cache).
-func (s *System) L1Stats(smx int) Stats { return s.l1[s.cfg.ClusterOf(smx)].Stats() }
+func (s *System) L1Stats(smx int) Stats { return s.l1Of[smx].Stats() }
 
 // L1Total returns load statistics aggregated over all L1s.
 func (s *System) L1Total() Stats {

@@ -1,10 +1,11 @@
 package smx
 
 // Allocation pins for the SMX pipeline: with warm block/warp free pools, a
-// full dispatch → execute → retire block lifecycle — including coalescing
-// into the warp's inline line buffer, MSHR traffic, a barrier, and the
-// retirement sweep — allocates nothing, and neither does a fast-forward
-// tick that decides launch retries through the closed launch gate. The
+// full dispatch → execute → retire block lifecycle — including MSHR
+// traffic, a barrier, and the retirement sweep — allocates nothing, and
+// neither does a fast-forward tick that decides launch retries through the
+// closed launch gate, a memory instruction's issue, an MSHR-stalled warp's
+// retry, or the NextEvent merge check. The
 // budget is an explicit 0 so any regression (a fresh slice on the issue
 // path, a lost freelist recycle) fails these tests rather than quietly
 // serializing the worker pool again.
@@ -74,4 +75,57 @@ func TestLaunchGatedTickZeroAlloc(t *testing.T) {
 			t.Errorf("window=%v: LaunchStallEvents = %d after %d cycles, want %d", window, got, now, want)
 		}
 	}
+}
+
+// TestMemPathZeroAlloc pins the SMX memory path op by op: issuing one load
+// (its coalesced lines are read from the program, never copied), one
+// fast-forward tick of 64 MSHR-stalled retries decided by the gate, and one
+// NextEvent whose merge check walks every stalled warp.
+func TestMemPathZeroAlloc(t *testing.T) {
+	t.Run("issue", func(t *testing.T) {
+		cfg := config.KeplerK20c()
+		var seq uint64
+		s := New(0, &cfg, mem.NewSystem(&cfg), nopEvents{}, GTO, &seq)
+		b := isa.NewTB(config.WarpSize)
+		for i := 0; i < 300; i++ {
+			base := uint64(i) * 2 * config.LineSize // two fresh lines per load
+			b.Load(func(tid int) uint64 { return base + uint64(tid)*8 })
+		}
+		s.AddBlock(b.Build(), nil, 0)
+		var now uint64
+		issue := func() {
+			now = s.warps[0].readyAt
+			s.Tick(now)
+		}
+		if allocs := testing.AllocsPerRun(200, issue); allocs != 0 {
+			t.Errorf("load issue: %.2f allocs per instruction, want 0", allocs)
+		}
+		if got := s.Stats().WarpInsts; got != 201 {
+			t.Errorf("%d loads issued over 201 ticks, want one per tick", got)
+		}
+	})
+	t.Run("stalled retry", func(t *testing.T) {
+		s, now := memStalledSMX(t)
+		retry := func() {
+			s.TickFF(now)
+			now++
+		}
+		if allocs := testing.AllocsPerRun(200, retry); allocs != 0 {
+			t.Errorf("gated TickFF: %.2f allocs per tick, want 0", allocs)
+		}
+		if s.memStalledWarps != benchStalledWarps || s.Stats().WarpInsts != 0 {
+			t.Errorf("%d warps stalled, %d issued; the retries must all stay blocked", s.memStalledWarps, s.Stats().WarpInsts)
+		}
+	})
+	t.Run("merge check", func(t *testing.T) {
+		s, now := memStalledSMX(t)
+		var h uint64
+		check := func() { h = s.NextEvent(now) }
+		if allocs := testing.AllocsPerRun(200, check); allocs != 0 {
+			t.Errorf("NextEvent: %.2f allocs per call, want 0", allocs)
+		}
+		if h < benchDRAMLatency {
+			t.Errorf("horizon %d; an add matching no stalled warp must not wake the SMX", h)
+		}
+	})
 }

@@ -92,3 +92,82 @@ func BenchmarkTickFFLaunchStalled(b *testing.B) {
 	b.Run("gated", func(b *testing.B) { bench(b, false) })
 	b.Run("elided", func(b *testing.B) { bench(b, true) })
 }
+
+// benchDRAMLatency keeps the fills of memStalledSMX's table outstanding for
+// any realistic b.N, so every benchmark cycle falls before the slot release.
+const benchDRAMLatency = 1 << 30
+
+// memStalledSMX returns the frozen K20c SMX with its 64 warps all stalled on
+// a full MSHR table, and the first cycle to tick. Each warp's first
+// instruction loads its own line. The table is filled with 32 other lines
+// before the SMX ticks once, so every warp is rejected and records the
+// table's mark. Then the one fill that completes early is replaced by the
+// add of another foreign line: the table is full again, holding an add
+// newer than every warp's mark that matches none of their lines.
+func memStalledSMX(tb testing.TB) (*SMX, uint64) {
+	tb.Helper()
+	cfg := config.KeplerK20c()
+	cfg.DRAMLatency = benchDRAMLatency
+	m := mem.NewSystem(&cfg)
+	var seq uint64
+	s := New(0, &cfg, m, nopEvents{}, GTO, &seq)
+
+	const foreign = uint64(1) << 32
+	line := func(i int) uint64 { return foreign + uint64(i)*config.LineSize }
+	m.Store(0, line(0), 0) // write-allocates in the L2: the next load hits there
+	early, _ := m.Load(0, line(0), 0)
+	for i := 1; i < cfg.L1MSHRs; i++ {
+		if _, ok := m.Load(0, line(i), 0); !ok {
+			tb.Fatalf("fill load %d rejected", i)
+		}
+	}
+	for blk := 0; blk < benchStalledWarps*config.WarpSize/benchBlockThreads; blk++ {
+		first := uint64(blk * benchBlockThreads)
+		s.AddBlock(isa.NewTB(benchBlockThreads).
+			Load(func(tid int) uint64 { return (first + uint64(tid)) / config.WarpSize * config.LineSize }).
+			Compute(1).Build(), nil, 0)
+	}
+	s.Tick(1)
+	if _, ok := m.Load(0, line(cfg.L1MSHRs), early); !ok {
+		tb.Fatalf("foreign add at the early fill's completion %d rejected", early)
+	}
+	next := early + 1
+	if s.memStalledWarps != benchStalledWarps || s.NextEvent(next) < benchDRAMLatency {
+		tb.Fatalf("%d warps MSHR-stalled, horizon %d; want %d stalled until the table's slot release",
+			s.memStalledWarps, s.NextEvent(next), benchStalledWarps)
+	}
+	s.horizon = 0 // leave the horizon uncached, as a fresh SMX has it
+	return s, next
+}
+
+// BenchmarkTickFFMemStalled is one fast-forward cycle of the all-stalled
+// SMX: a full issue scan that decides every retry through the O(1) MSHR gate
+// ("gated"), and the engine's NextEvent merge check followed by a tick
+// elided inside the window it caches ("elided"). The add newer than every
+// warp's mark wakes none of them, so the elided cycles stay elided.
+func BenchmarkTickFFMemStalled(b *testing.B) {
+	b.Run("gated", func(b *testing.B) {
+		s, first := memStalledSMX(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.TickFF(first + uint64(i))
+		}
+		b.StopTimer()
+		if s.memStalledWarps != benchStalledWarps || s.stats.WarpInsts != 0 {
+			b.Fatalf("%d warps stalled after %d issued; want all %d stalled", s.memStalledWarps, s.stats.WarpInsts, benchStalledWarps)
+		}
+	})
+	b.Run("elided", func(b *testing.B) {
+		s, first := memStalledSMX(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			now := first + uint64(i)
+			s.NextEvent(now)
+			s.TickFF(now)
+		}
+		b.StopTimer()
+		if got, want := s.stats.MemStallEvents, int64(benchStalledWarps)*int64(b.N+1); got != want {
+			b.Fatalf("MemStallEvents = %d, want %d", got, want)
+		}
+	})
+}

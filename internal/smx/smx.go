@@ -1,9 +1,9 @@
 // Package smx models one streaming multiprocessor: resident thread blocks
 // with resource accounting, per-warp execution state, the warp scheduler
-// (Greedy-Then-Oldest by default, per Table I), the memory coalescer, and
-// block-wide barriers. The package is deliberately unaware of kernels and
-// TB scheduling; the GPU engine owns those and observes SMX events through
-// the Events interface.
+// (Greedy-Then-Oldest by default, per Table I), memory transaction issue
+// against the L1 MSHRs, and block-wide barriers. The package is deliberately
+// unaware of kernels and TB scheduling; the GPU engine owns those and
+// observes SMX events through the Events interface.
 package smx
 
 import (
@@ -103,14 +103,13 @@ type warp struct {
 	pc    int
 	// readyAt is the first cycle the warp may issue again.
 	readyAt uint64
-	// pending holds coalesced line addresses of the current memory
-	// instruction not yet accepted by the memory system (MSHR stalls).
-	// Each retry of pending[0] is decided in O(1) against stallMark. It
-	// always aliases lineBuf — a warp instruction coalesces to at most
-	// WarpSize lines — so issuing memory instructions never allocates.
+	// pending holds the line addresses of the current memory instruction
+	// not yet accepted by the memory system (MSHR stalls). It is a suffix
+	// of the instruction's Lines, which the builder coalesced once; it
+	// aliases that read-only program memory, so issuing memory
+	// instructions never allocates or copies. Each retry of pending[0] is
+	// decided in O(1) against stallMark.
 	pending []uint64
-	// lineBuf is the warp-owned coalescer scratch buffer backing pending.
-	lineBuf [config.WarpSize]uint64
 	// pendingMax is the latest completion cycle among the transactions
 	// already issued for the current memory instruction.
 	pendingMax uint64
@@ -191,6 +190,12 @@ type SMX struct {
 	// only a retry that may succeed calls Launch.
 	launchStalledWarps int
 	memStalledWarps    int
+	// lowMark is the least stallMark among MSHR-stalled warps, recomputed
+	// at the end of every tick; marks change only when the SMX ticks. While
+	// the table's add count has not passed it, every stalled warp holds the
+	// current mark, no merge is possible, and NextEvent skips the per-warp
+	// merge check.
+	lowMark uint64
 	// scanShort records that the last issue scan stopped at the issue
 	// width (or, for TwoLevel, inside the active group) without visiting
 	// every warp: a stalled warp may have been starved of its retry, its
@@ -200,11 +205,13 @@ type SMX struct {
 	scanShort bool
 	// horizon/horizonAt cache the last NextEvent answer: the SMX provably
 	// cannot act on any cycle in [horizonAt, horizon), because nothing an
-	// SMX observes changes inside the window — its warps, retiring blocks,
-	// and (private) MSHR table only move when it ticks or the engine
-	// dispatches onto it, and AddBlockAttr invalidates the cache. TickFF
-	// uses the window to elide whole per-cycle ticks on processed cycles
-	// that some other component pinned.
+	// SMX observes changes inside the window — its warps and retiring
+	// blocks only move when it ticks or the engine dispatches onto it
+	// (AddBlockAttr invalidates the cache), and its MSHR table, even one a
+	// sibling SMX shares, cannot take an add before the slot release that
+	// bounds the window (see NextEvent). TickFF uses the window to elide
+	// whole per-cycle ticks on processed cycles that some other component
+	// pinned.
 	horizon   uint64
 	horizonAt uint64
 	// freeBlocks / freeWarps recycle retired Block and warp records so
@@ -288,10 +295,14 @@ func (s *SMX) Stats() Stats { return s.stats }
 // NextEvent returns the earliest cycle >= next at which the SMX can make
 // progress on its own: the cached nextReady horizon (the earliest issuable
 // non-stalled warp or pending block retirement), lowered to the MSHR stall
-// wake-up bound when warps are blocked on a full MSHR table — a stalled
-// retry can only advance when the table frees a slot at a known
-// fill-completion cycle or the cycle after another warp's access makes the
-// blocked line mergeable (mem.NextStallWake covers both). Warps stalled on
+// wake-up bound when warps are blocked on a full MSHR table. A stalled
+// retry can only advance when the table frees a slot, at a known
+// fill-completion cycle (mem.NextStallWake), or when an entry added since
+// the warp's rejection makes its blocked line mergeable, or prune has
+// dropped such an entry (mem.MergeWake, asked per stalled warp). No other
+// add can wake a warp, and while the table is full no add can happen at
+// all: an add needs a free slot, and a free slot already wakes every SMX on
+// that table, siblings sharing a clustered L1 included. Warps stalled on
 // a full launch queue contribute nothing: the queue only frees through KMU
 // or TB dispatch, each of which runs on a processed cycle before the SMX
 // phase, and TickFF retries the stalled warps on every processed cycle on
@@ -320,8 +331,13 @@ func (s *SMX) nextEvent(next uint64) uint64 {
 	}
 	h := s.nextReady
 	if s.memStalledWarps > 0 {
-		if r := s.mem.NextStallWake(s.ID, next); r < h {
-			h = r
+		h = min(h, s.mem.NextStallWake(s.ID, next))
+		if s.mem.StallMark(s.ID) > s.lowMark {
+			for _, w := range s.warps {
+				if len(w.pending) > 0 && h > next {
+					h = min(h, s.mem.MergeWake(s.ID, w.pending[0], w.stallMark, next))
+				}
+			}
 		}
 	}
 	if h < next {
@@ -343,12 +359,13 @@ func (s *SMX) nextEvent(next uint64) uint64 {
 // at cycle now, the whole tick — including the per-cycle issue scan a
 // stalled SMX would otherwise pay — is replaced by a one-cycle SkipIdle.
 // This is the engine's span-skip argument applied to a single SMX on a cycle
-// some other component pinned: inside [horizonAt, horizon) the SMX's warps,
-// retiring blocks, and private MSHR table cannot change except through its
-// own tick or an engine dispatch (which invalidates the cache), so every
-// elided stall retry would have failed. Launch-stalled warps allow the
-// elision only under a closed gate; an open one may have been freed by
-// another component on this very cycle, which the window does not see.
+// some other component pinned: inside [horizonAt, horizon) the SMX's warps
+// and retiring blocks cannot change except through its own tick or an
+// engine dispatch (which invalidates the cache), and its MSHR table cannot
+// admit an add from any SMX sharing it, so every elided stall retry would
+// have failed. Launch-stalled warps allow the elision only under a closed
+// gate; an open one may have been freed by another component on this very
+// cycle, which the window does not see.
 func (s *SMX) TickFF(now uint64) {
 	blocked := s.launchStalledWarps > 0 && s.events.LaunchBlocked()
 	if (s.launchStalledWarps == 0 || blocked) && s.horizonAt <= now && now < s.horizon {
@@ -469,13 +486,17 @@ func (s *SMX) tick(now uint64, launchBlocked bool) {
 	// which the last live warp arrives, which updates readyAt. Stalled
 	// warps are excluded too — their failed retries re-arm readyAt every
 	// cycle and would pin the horizon; NextEvent accounts for their actual
-	// wake-up sources instead.
-	next := ^uint64(0)
+	// wake-up sources instead, starting from their least mark.
+	next, low := ^uint64(0), ^uint64(0)
 	for _, w := range s.warps {
-		if !w.done && !w.atBarrier && !w.launchStalled && len(w.pending) == 0 && w.readyAt < next {
+		switch {
+		case len(w.pending) > 0:
+			low = min(low, w.stallMark)
+		case !w.done && !w.atBarrier && !w.launchStalled && w.readyAt < next:
 			next = w.readyAt
 		}
 	}
+	s.lowMark = low
 	for _, b := range s.retiring {
 		if b.retireAt < next {
 			next = b.retireAt
@@ -551,7 +572,7 @@ func (s *SMX) issue(w *warp, now uint64, launchBlocked bool) bool {
 func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 	wasStalled := in == nil // resuming implies a prior MSHR rejection
 	if in != nil {
-		w.pending = isa.CoalesceInto(w.lineBuf[:0], in.Addrs)
+		w.pending = in.Lines
 		w.pendingMax = 0
 	} else {
 		in = &w.stream()[w.pc]
