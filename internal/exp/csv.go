@@ -32,15 +32,17 @@ func WriteFileAtomic(path string, fn func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
 	err = writeAtomic(tmp, fn)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // WriteTimelineCSV emits one run's sampled timeline (Result.Timeline) as

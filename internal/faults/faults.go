@@ -56,9 +56,9 @@ const (
 	// SiteCacheRead fires in ReadArtifact before the file read — a
 	// flaky or dying disk on the serving path.
 	SiteCacheRead Site = "serve.cache.read"
-	// SiteCacheEvict fires before an eviction's RemoveAll; an injected
-	// error skips the removal, leaving an orphaned entry directory the
-	// next OpenCache must absorb.
+	// SiteCacheEvict fires before an eviction's Remove; an injected
+	// error skips the removal, leaving an orphaned entry file the next
+	// OpenCache must absorb.
 	SiteCacheEvict Site = "serve.cache.evict"
 	// SiteSubmit fires in the submit handler before a job is enqueued;
 	// an injected error sheds the submission with 503 — an overloaded or

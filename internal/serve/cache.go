@@ -1,47 +1,49 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
-	"laperm/internal/exp"
 	"laperm/internal/faults"
 	"laperm/internal/telemetry"
 )
 
-// ResultArtifact is the artifact name that doubles as the cache entry's
-// completion marker: it is always written last, so a directory holding one
-// is a complete entry and a directory without one is debris from a crashed
-// write and is discarded on open.
+// ResultArtifact is the artifact every cache entry holds: resolution probes
+// it to decide whether a spec is already answered.
 const ResultArtifact = "result.json"
 
-// ManifestArtifact is the entry's integrity manifest: the SHA-256 of every
-// artifact (including ResultArtifact), written immediately before the
-// completion marker. Reads verify against it, so a truncated or corrupted
-// payload — not just a missing marker — is detected before it is ever
-// served, treated as a miss, and removed as debris.
-const ManifestArtifact = "manifest.json"
-
-// manifest is the on-disk schema of ManifestArtifact.
-type manifest struct {
-	// Artifacts maps artifact name to lowercase-hex SHA-256.
-	Artifacts map[string]string `json:"artifacts"`
-}
+// An entry file is the artifact payloads back to back, then a JSON index
+// of artifactRef records, then a 16-byte trailer: the index's length and
+// CRC-32 (little-endian uint32s) and entryMagic. The index comes last so
+// Put can stream each artifact straight to disk before its hash is known.
+const (
+	entryMagic  = "lpcache1"
+	trailerSize = 16
+	// maxIndexBytes bounds the index a reader allocates for.
+	maxIndexBytes = 1 << 16
+	// tempMarker joins an ID to the random suffix of Put's temp file.
+	tempMarker = ".tmp"
+)
 
 // CorruptEntryError reports a cache entry whose bytes failed integrity
 // verification; the entry has already been removed when this is returned,
 // so the caller's next lookup re-executes instead of serving debris.
 type CorruptEntryError struct {
-	// ID is the entry; Artifact the file that failed; Detail the mismatch.
+	// ID is the entry; Artifact the one being read; Detail the mismatch.
 	ID, Artifact, Detail string
 }
 
@@ -50,9 +52,9 @@ func (e *CorruptEntryError) Error() string {
 		e.ID, e.Artifact, e.Detail)
 }
 
-// Artifact is one named file of a cache entry.
+// Artifact is one named payload of a cache entry.
 type Artifact struct {
-	// Name is the file name inside the entry directory (no separators).
+	// Name identifies the artifact within its entry (no path separators).
 	Name string
 	// Write emits the artifact body.
 	Write func(io.Writer) error
@@ -72,13 +74,12 @@ type CacheStats struct {
 	Corruptions int64 `json:"corruptions"`
 }
 
-// Cache is the content-addressed on-disk result store: one directory per
-// RunSpec hash holding the run's artifacts, bounded by an LRU byte budget.
-// Writes are atomic (temp file + rename via exp.WriteFileAtomic) and ordered
-// so ResultArtifact lands last; readers therefore never observe a partial
-// entry, even across a crash. Every read verifies the artifact's SHA-256
-// against the entry's manifest: a mismatch discards the entry and surfaces
-// as a *CorruptEntryError, never as served bytes.
+// Cache is the content-addressed on-disk result store, bounded by an LRU
+// byte budget: one file per spec hash holding the entry's artifacts and
+// their index. Put renames a finished temp file into place, so readers never
+// observe a partial entry, even across a crash. Every read verifies the
+// artifact's SHA-256: a mismatch discards the entry and surfaces as a
+// *CorruptEntryError, never as served bytes.
 type Cache struct {
 	dir      string
 	maxBytes int64
@@ -102,13 +103,25 @@ type Cache struct {
 type cacheEntry struct {
 	bytes    int64
 	lastUsed uint64
+	// index is the entry's parsed index: filled by Put, or by the first
+	// read of an entry a previous process wrote.
+	index []artifactRef
+}
+
+// artifactRef is one index record: where an artifact's bytes lie in the
+// entry file and what they hash to.
+type artifactRef struct {
+	Name string `json:"name"`
+	Off  int64  `json:"off"`
+	Size int64  `json:"size"`
+	Sum  []byte `json:"sha256"`
 }
 
 // OpenCache opens (creating if needed) the cache rooted at dir with the
-// given byte budget (maxBytes <= 0 means unlimited). Existing complete
-// entries — holding both the ResultArtifact completion marker and the
-// integrity manifest — are indexed, ordered for LRU by their result file's
-// mtime; incomplete ones are debris from a crashed write and are removed.
+// given byte budget (maxBytes <= 0 means unlimited). Entry files are
+// indexed by size, LRU-ordered by mtime, and verified on first read. Temp
+// files of an unfinished Put and entry directories of the older
+// file-per-artifact layout are debris and are removed.
 func OpenCache(dir string, maxBytes int64) (*Cache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("serve: cache directory is required")
@@ -121,48 +134,23 @@ func OpenCache(dir string, maxBytes int64) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: scan cache dir: %w", err)
 	}
-	type found struct {
-		id    string
-		bytes int64
-		mtime int64
-	}
-	var scanned []found
+	var scanned []os.FileInfo
 	for _, de := range names {
-		if !de.IsDir() {
-			continue
-		}
-		id := de.Name()
-		entryDir := filepath.Join(dir, id)
-		st, err := os.Stat(filepath.Join(entryDir, ResultArtifact))
-		if err != nil {
-			// No completion marker: a crashed or in-progress write from a
-			// previous process. Remove it; the run will recompute.
-			os.RemoveAll(entryDir)
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(entryDir, ManifestArtifact)); err != nil {
-			// No integrity manifest (pre-manifest format or a torn
-			// write): unverifiable, so it is debris too.
-			os.RemoveAll(entryDir)
-			continue
-		}
-		var bytes int64
-		files, err := os.ReadDir(entryDir)
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if info, err := f.Info(); err == nil {
-				bytes += info.Size()
+		id, _, isTemp := strings.Cut(de.Name(), tempMarker)
+		switch {
+		case de.Type().IsRegular() && validID(de.Name()):
+			if info, err := de.Info(); err == nil {
+				scanned = append(scanned, info)
 			}
+		case (isTemp || de.IsDir()) && validID(id):
+			os.RemoveAll(filepath.Join(dir, de.Name()))
 		}
-		scanned = append(scanned, found{id: id, bytes: bytes, mtime: st.ModTime().UnixNano()})
 	}
-	sort.Slice(scanned, func(i, j int) bool { return scanned[i].mtime < scanned[j].mtime })
-	for _, f := range scanned {
+	sort.Slice(scanned, func(i, j int) bool { return scanned[i].ModTime().Before(scanned[j].ModTime()) })
+	for _, info := range scanned {
 		c.clock++
-		c.entries[f.id] = &cacheEntry{bytes: f.bytes, lastUsed: c.clock}
-		c.total += f.bytes
+		c.entries[info.Name()] = &cacheEntry{bytes: info.Size(), lastUsed: c.clock}
+		c.total += info.Size()
 	}
 	c.mu.Lock()
 	c.evictFor("")
@@ -184,77 +172,98 @@ func validID(id string) bool {
 	return true
 }
 
-// Lookup reports whether a complete entry for id exists, returning its
-// directory and marking it most-recently-used. Presence only — integrity is
-// verified by ReadArtifact on the serving path.
-func (c *Cache) Lookup(id string) (string, bool) {
-	if !validID(id) {
-		return "", false
-	}
+// ReadArtifact returns one artifact's bytes from a complete entry, verified
+// against the entry's index. An entry that lacks the artifact is a plain
+// miss and stays cached. A bad index, a short read or a hash mismatch
+// discards the whole entry and returns a *CorruptEntryError, so upstream
+// treats it exactly like a miss and recomputes.
+func (c *Cache) ReadArtifact(id, name string) ([]byte, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		return "", false
+	e := c.entries[id]
+	if e == nil {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("serve: no cache entry %q", id)
 	}
 	c.clock++
 	e.lastUsed = c.clock
-	return filepath.Join(c.dir, id), true
-}
-
-// readManifest loads and parses an entry's integrity manifest.
-func readManifest(dir string) (manifest, error) {
-	var m manifest
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestArtifact))
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, err
-	}
-	if m.Artifacts == nil {
-		return m, fmt.Errorf("manifest lists no artifacts")
-	}
-	return m, nil
-}
-
-// ReadArtifact returns one artifact's bytes from a complete entry, verified
-// against the entry's manifest. A hash mismatch (a truncated or corrupted
-// payload) discards the whole entry and returns a *CorruptEntryError, so
-// upstream treats it exactly like a miss and recomputes.
-func (c *Cache) ReadArtifact(id, name string) ([]byte, error) {
-	dir, ok := c.Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("serve: no cache entry %q", id)
-	}
-	if strings.ContainsAny(name, `/\`) {
-		return nil, fmt.Errorf("serve: invalid artifact name %q", name)
-	}
+	index := e.index
+	c.mu.Unlock()
 	if err := c.flts.Hit(faults.SiteCacheRead); err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(filepath.Join(dir, name))
+	f, err := os.Open(filepath.Join(c.dir, id))
 	if err != nil {
 		return nil, err
 	}
-	if name == ManifestArtifact {
-		return data, nil
+	defer f.Close()
+	if index == nil {
+		if index, err = readIndex(f, e.bytes); err != nil {
+			return nil, c.discardCorrupt(id, name, "index: "+err.Error())
+		}
+		c.mu.Lock()
+		e.index = index
+		c.mu.Unlock()
 	}
-	man, err := readManifest(dir)
-	if err != nil {
-		return nil, c.discardCorrupt(id, ManifestArtifact, err.Error())
+	i := slices.IndexFunc(index, func(r artifactRef) bool { return r.Name == name })
+	if i < 0 {
+		return nil, fmt.Errorf("serve: cache entry %q has no artifact %s", id, name)
 	}
-	want, ok := man.Artifacts[name]
-	if !ok {
-		return nil, c.discardCorrupt(id, name, "artifact missing from manifest")
-	}
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != want {
+	ref := index[i]
+	data := make([]byte, ref.Size)
+	if _, err := f.ReadAt(data, ref.Off); err != nil {
 		return nil, c.discardCorrupt(id, name,
-			fmt.Sprintf("sha256 %s, manifest says %s (%d bytes)", got, want, len(data)))
+			fmt.Sprintf("read %d bytes at offset %d: %v", ref.Size, ref.Off, err))
+	}
+	if sum := sha256.Sum256(data); !bytes.Equal(sum[:], ref.Sum) {
+		return nil, c.discardCorrupt(id, name,
+			fmt.Sprintf("sha256 %x, index says %x (%d bytes)", sum, ref.Sum, len(data)))
 	}
 	c.readBytes.Add(uint64(len(data)))
 	return data, nil
+}
+
+// readIndex parses the trailer and index of an entry file of the given
+// size, checking the index length and every artifact's extent against that
+// size before allocating from them.
+func readIndex(f *os.File, size int64) ([]artifactRef, error) {
+	var tr [trailerSize]byte
+	if _, err := f.ReadAt(tr[:], size-trailerSize); err != nil {
+		return nil, err
+	}
+	n := int64(binary.LittleEndian.Uint32(tr[:4]))
+	payloadEnd := size - trailerSize - n
+	if string(tr[8:]) != entryMagic || n > maxIndexBytes || payloadEnd < 0 {
+		return nil, fmt.Errorf("bad trailer %q in a %d-byte file", tr[:], size)
+	}
+	raw := make([]byte, n)
+	if _, err := f.ReadAt(raw, payloadEnd); err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(raw) != binary.LittleEndian.Uint32(tr[4:8]) {
+		return nil, errors.New("index checksum mismatch")
+	}
+	var index []artifactRef
+	if err := json.Unmarshal(raw, &index); err != nil {
+		return nil, err
+	}
+	for _, r := range index {
+		if r.Off < 0 || r.Size < 0 || r.Off > payloadEnd || r.Size > payloadEnd-r.Off {
+			return nil, fmt.Errorf("artifact %s at [%d, +%d) lies past the %d payload bytes",
+				r.Name, r.Off, r.Size, payloadEnd)
+		}
+	}
+	return index, nil
+}
+
+// encodeIndex renders the index and trailer that end an entry file.
+func encodeIndex(index []artifactRef) ([]byte, error) {
+	raw, err := json.Marshal(index)
+	if err != nil || len(raw) > maxIndexBytes {
+		return nil, fmt.Errorf("serve: encode cache entry index (%d bytes): %v", len(raw), err)
+	}
+	tail := binary.LittleEndian.AppendUint32(raw, uint32(len(raw)))
+	tail = binary.LittleEndian.AppendUint32(tail, crc32.ChecksumIEEE(raw))
+	return append(tail, entryMagic...), nil
 }
 
 // discardCorrupt drops a corrupt entry from the index and the disk, counts
@@ -267,15 +276,15 @@ func (c *Cache) discardCorrupt(id, artifact, detail string) error {
 	}
 	c.corruptions++
 	c.mu.Unlock()
-	os.RemoveAll(filepath.Join(c.dir, id))
+	os.Remove(filepath.Join(c.dir, id))
 	return &CorruptEntryError{ID: id, Artifact: artifact, Detail: detail}
 }
 
-// Put writes a new entry: every artifact atomically with its SHA-256
-// recorded, then the integrity manifest, then ResultArtifact last as the
-// completion marker, then indexes the entry and evicts least-recently-used
-// entries until the byte budget holds again. Writing an id that already
-// exists is a no-op (the content address guarantees identical bytes).
+// Put streams every artifact through its SHA-256 into a temp file, appends
+// the index and renames the file to the ID, which completes the entry; then
+// it evicts least-recently-used entries until the byte budget holds again.
+// Writing an id that already exists is a no-op (the content address
+// guarantees identical bytes).
 func (c *Cache) Put(id string, artifacts []Artifact) error {
 	if !validID(id) {
 		return fmt.Errorf("serve: invalid cache id %q", id)
@@ -286,94 +295,86 @@ func (c *Cache) Put(id string, artifacts []Artifact) error {
 	if exists {
 		return nil
 	}
-	var result *Artifact
-	for i := range artifacts {
-		a := &artifacts[i]
-		if strings.ContainsAny(a.Name, `/\`) || a.Name == "" || a.Name == ManifestArtifact {
+	for _, a := range artifacts {
+		if a.Name == "" || strings.ContainsAny(a.Name, `/\`) {
 			return fmt.Errorf("serve: invalid artifact name %q", a.Name)
 		}
-		if a.Name == ResultArtifact {
-			result = a
-		}
 	}
-	if result == nil {
+	if !slices.ContainsFunc(artifacts, func(a Artifact) bool { return a.Name == ResultArtifact }) {
 		return fmt.Errorf("serve: entry %q has no %s artifact", id, ResultArtifact)
 	}
-	entryDir := filepath.Join(c.dir, id)
-	if err := os.MkdirAll(entryDir, 0o755); err != nil {
+	tmp, err := os.CreateTemp(c.dir, id+tempMarker+"*")
+	if err != nil {
 		return fmt.Errorf("serve: create cache entry: %w", err)
 	}
-	sums := make(map[string]string, len(artifacts))
-	writeHashed := func(name string, emit func(io.Writer) error) error {
-		if err := c.flts.Hit(faults.SiteCacheWrite); err != nil {
-			return fmt.Errorf("serve: write artifact %s: %w", name, err)
+	committed := false
+	defer func() {
+		if !committed {
+			tmp.Close()
+			os.Remove(tmp.Name())
 		}
-		return exp.WriteFileAtomic(filepath.Join(entryDir, name), func(w io.Writer) error {
-			h := sha256.New()
-			if err := emit(io.MultiWriter(c.flts.Writer(faults.SiteCacheWrite, w), h)); err != nil {
-				return fmt.Errorf("serve: write artifact %s: %w", name, err)
-			}
-			sums[name] = hex.EncodeToString(h.Sum(nil))
-			return nil
-		})
-	}
-	for i := range artifacts {
-		a := &artifacts[i]
-		if a.Name == ResultArtifact {
-			continue
+	}()
+	ew := &entryWriter{w: bufio.NewWriterSize(tmp, 32<<10), h: sha256.New()}
+	index := make([]artifactRef, len(artifacts))
+	for i, a := range artifacts {
+		ew.h.Reset()
+		off := ew.n
+		err := c.flts.Hit(faults.SiteCacheWrite)
+		if err == nil {
+			err = a.Write(c.flts.Writer(faults.SiteCacheWrite, ew))
 		}
-		if err := writeHashed(a.Name, a.Write); err != nil {
-			return err
+		if err != nil {
+			return fmt.Errorf("serve: write artifact %s: %w", a.Name, err)
 		}
+		index[i] = artifactRef{Name: a.Name, Off: off, Size: ew.n - off, Sum: ew.h.Sum(nil)}
 	}
-	// The result body is buffered first so its hash lands in the manifest,
-	// which must be on disk before the completion marker: a crash between
-	// the two leaves a marker-less directory OpenCache removes as debris.
-	var resultBody bytes.Buffer
-	if err := result.Write(&resultBody); err != nil {
-		return fmt.Errorf("serve: write artifact %s: %w", ResultArtifact, err)
-	}
-	resultSum := sha256.Sum256(resultBody.Bytes())
-	sums[ResultArtifact] = hex.EncodeToString(resultSum[:])
-	if err := exp.WriteFileAtomic(filepath.Join(entryDir, ManifestArtifact), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(manifest{Artifacts: sums})
-	}); err != nil {
-		return fmt.Errorf("serve: write artifact %s: %w", ManifestArtifact, err)
-	}
-	if err := writeHashed(ResultArtifact, func(w io.Writer) error {
-		_, err := w.Write(resultBody.Bytes())
-		return err
-	}); err != nil {
-		return err
-	}
-	var bytes int64
-	files, err := os.ReadDir(entryDir)
+	tail, err := encodeIndex(index)
 	if err != nil {
-		return fmt.Errorf("serve: size cache entry: %w", err)
+		return err
 	}
-	for _, f := range files {
-		if info, err := f.Info(); err == nil {
-			bytes += info.Size()
-		}
+	if _, err = ew.w.Write(tail); err == nil {
+		err = ew.w.Flush()
 	}
-	c.writtenBytes.Add(uint64(bytes))
+	if err == nil {
+		err = tmp.Close()
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(c.dir, id))
+	}
+	if err != nil {
+		return fmt.Errorf("serve: commit cache entry: %w", err)
+	}
+	committed = true
+	size := ew.n + int64(len(tail))
+	c.writtenBytes.Add(uint64(size))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clock++
-	c.entries[id] = &cacheEntry{bytes: bytes, lastUsed: c.clock}
-	c.total += bytes
+	c.entries[id] = &cacheEntry{bytes: size, lastUsed: c.clock, index: index}
+	c.total += size
 	c.evictFor(id)
 	return nil
+}
+
+// entryWriter appends artifact payloads to an entry file, hashing and
+// counting the bytes as they pass.
+type entryWriter struct {
+	w *bufio.Writer
+	h hash.Hash
+	n int64
+}
+
+func (ew *entryWriter) Write(p []byte) (int, error) {
+	n, err := ew.w.Write(p)
+	ew.h.Write(p[:n])
+	ew.n += int64(n)
+	return n, err
 }
 
 // evictFor removes least-recently-used entries until the budget holds,
 // sparing the entry named keep (the one just written — callers are about to
 // read it). Called with c.mu held. An injected eviction fault skips the
-// disk removal — a RemoveAll that failed — leaving an orphaned complete
-// entry a later OpenCache re-indexes; the in-memory index stays consistent
-// either way.
+// Remove, orphaning a complete entry file a later OpenCache re-indexes.
 func (c *Cache) evictFor(keep string) {
 	if c.maxBytes <= 0 {
 		return
@@ -396,7 +397,7 @@ func (c *Cache) evictFor(keep string) {
 		delete(c.entries, victim)
 		c.evictions++
 		if err := c.flts.Hit(faults.SiteCacheEvict); err == nil {
-			os.RemoveAll(filepath.Join(c.dir, victim))
+			os.Remove(filepath.Join(c.dir, victim))
 		}
 	}
 }

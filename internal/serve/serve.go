@@ -994,8 +994,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 			// Bit-determinism makes retries safe: a clean re-execution of
 			// the same spec produces byte-identical artifacts, so nothing
 			// a failed attempt touched can leak — failures are never
-			// cached, and Put is atomic-per-artifact with the completion
-			// marker last.
+			// cached, and Put commits an entry with one rename.
 			s.tel.retries.Inc()
 			j.noteRetry()
 			j.flight.Instant("job", "retry", map[string]string{
@@ -1085,8 +1084,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*gpu.Result, *trace.Recor
 	return res, rec, nil
 }
 
-// runArtifacts assembles a completed run's cache entry. ResultArtifact is
-// included last-by-convention; the cache enforces write ordering itself.
+// runArtifacts assembles a completed run's cache entry.
 func runArtifacts(sp spec.RunSpec, res *gpu.Result, rec *trace.Recorder) ([]Artifact, error) {
 	canon, err := sp.Canonical()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // second, with sampling and attribution on so every artifact has content.
 const tinySpec = `{"workload":"amr","scale":"tiny","sample_every":256,"attribution":true}`
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.CacheDir == "" {
 		cfg.CacheDir = t.TempDir()
@@ -34,7 +35,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func submit(t *testing.T, ts *httptest.Server, body string) (int, jobView) {
+func submit(t testing.TB, ts *httptest.Server, body string) (int, jobView) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -48,7 +49,7 @@ func submit(t *testing.T, ts *httptest.Server, body string) (int, jobView) {
 	return resp.StatusCode, view
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) jobView {
+func getStatus(t testing.TB, ts *httptest.Server, id string) jobView {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/runs/" + id)
 	if err != nil {
@@ -65,7 +66,7 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) jobView {
 	return view
 }
 
-func waitTerminal(t *testing.T, ts *httptest.Server, id string) jobView {
+func waitTerminal(t testing.TB, ts *httptest.Server, id string) jobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -79,7 +80,7 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) jobView {
 	return jobView{}
 }
 
-func getArtifact(t *testing.T, ts *httptest.Server, id, name string) []byte {
+func getArtifact(t testing.TB, ts *httptest.Server, id, name string) []byte {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/artifacts/" + id + "/" + name)
 	if err != nil {
@@ -528,6 +529,25 @@ func TestCacheSurvivesRestart(t *testing.T) {
 	// The status and events endpoints also work for disk-only entries.
 	if v := getStatus(t, ts2, view.ID); v.State != StateDone {
 		t.Fatalf("status of disk-only entry: %+v", v)
+	}
+}
+
+// TestFinishedRunLeavesOneEntryFile: a completed run's whole cache entry is
+// one regular file in the cache root, named by the run's ID.
+func TestFinishedRunLeavesOneEntryFile(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	s.Start()
+	_, view := submit(t, ts, tinySpec)
+	if v := waitTerminal(t, ts, view.ID); v.State != StateDone {
+		t.Fatalf("run failed: %s", v.Error)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 1 || des[0].Name() != view.ID || !des[0].Type().IsRegular() {
+		t.Fatalf("cache root holds %v, want one regular file named %s", des, view.ID)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // Artifact names of one completed sweep, served under
 // /v1/sweeps/{id}/artifacts/. ResultArtifact (result.json, the sweep
-// summary and the cache's completion marker) is shared with runs.
+// summary) is shared with runs.
 const (
 	SweepSpecArtifact  = "sweep.json"
 	SweepCellsArtifact = "cells.csv"
@@ -400,7 +400,7 @@ func (s *Server) finalizeSweep(sw *Sweep) {
 // writeSweepArtifacts assembles and commits the sweep's cache entry: the
 // canonical sweep spec, the aggregated cells.csv (via the exp writer, so it
 // is byte-identical to an in-process RunMatrix export of the same axes),
-// and the result.json summary that doubles as the cache completion marker.
+// and the result.json summary.
 func (s *Server) writeSweepArtifacts(sw *Sweep, cells []*sweepCell) error {
 	canon, err := sw.Spec.Canonical()
 	if err != nil {
